@@ -23,7 +23,6 @@ from ..grammars import (
     Production,
     Symbol,
     completion_costs,
-    heuristic_completion_cost,
     is_nonterminal,
 )
 from .dimension_list import DimensionList
@@ -32,6 +31,9 @@ from .grammar_gen import position_nonterminal
 #: Floor applied when converting probabilities to costs.
 _PROBABILITY_FLOOR = 1e-12
 
+#: Completion cost of a non-terminal the ``h(alpha)`` fixpoint does not know.
+_UNKNOWN_COMPLETION_COST = -math.log2(_PROBABILITY_FLOOR)
+
 
 class TopDownCostModel:
     """``c`` and ``g`` for the top-down search over a pCFG."""
@@ -39,16 +41,28 @@ class TopDownCostModel:
     def __init__(self, grammar: ProbabilisticGrammar) -> None:
         self._grammar = grammar
         self._completion = completion_costs(grammar)
+        # Keyed by name: string hashes are cached, dataclass hashes are not.
+        self._completion_by_name = {
+            nonterminal.name: cost for nonterminal, cost in self._completion.items()
+        }
 
     def production_cost(self, production: Production) -> float:
         return -math.log2(max(self._grammar.probability(production), _PROBABILITY_FLOOR))
 
-    def completion_cost(self, symbols: Sequence[Symbol]) -> float:
-        """``g(x)``: minimal cost of completing every open non-terminal."""
-        return heuristic_completion_cost(symbols, self._completion)
+    def completion_cost(self, symbols: Sequence[Symbol], start: int = 0) -> float:
+        """``g(x)``: minimal cost of completing every open non-terminal.
 
-    def nonterminal_cost(self, nonterminal: NonTerminal) -> float:
-        return self._completion.get(nonterminal, -math.log2(_PROBABILITY_FLOOR))
+        The sum of :func:`heuristic_completion_cost`, term for term.  The
+        caller may pass the leftmost non-terminal's index as *start*: the
+        terminals before it add nothing, so the float sum is unchanged.
+        """
+        total = 0.0
+        costs = self._completion_by_name
+        for index in range(start, len(symbols)):
+            symbol = symbols[index]
+            if type(symbol) is NonTerminal:
+                total += costs.get(symbol.name, _UNKNOWN_COMPLETION_COST)
+        return total
 
 
 class BottomUpCostModel:

@@ -8,7 +8,7 @@ An infinite penalty effectively removes the template from consideration.
 
 Penalties are computed over a light-weight *view* of the partial template —
 its operand tokens, operator tokens and completeness — extracted from the
-yield of the derivation tree, so they are cheap to evaluate on every queue
+symbols of the sentential form, so they are cheap to evaluate on every queue
 insertion.
 
 Criteria interpretation notes (the paper states them informally):
@@ -125,7 +125,7 @@ class TemplateView:
 
 
 def view_from_symbols(symbols: Sequence[Symbol]) -> TemplateView:
-    """Build a :class:`TemplateView` from the yield of a derivation tree."""
+    """Build a :class:`TemplateView` from the symbols of a sentential form."""
     operands: List[str] = []
     operators: List[str] = []
     complete = True

@@ -9,8 +9,9 @@ import time
 import warnings
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
+from ..grammars import ContextFreeGrammar, GrammarError, NonTerminal, Production, Symbol
 from ..taco import TacoProgram
 from .validator import ValidationResult
 from .verifier import VerificationResult
@@ -149,26 +150,154 @@ class SearchOutcome:
     exhausted: bool = False
 
 
+#: Non-terminal names whose nesting defines the expression depth measure of
+#: Section 5.1: ``b(i)`` and ``c(i,j)`` have depth 1, ``b(i) + c(i,j)`` depth 2.
+EXPRESSION_NONTERMINALS = frozenset({"EXPR"})
+
+
+class Expansion(NamedTuple):
+    """A production with what splicing it into a form needs, precomputed."""
+
+    production: Production
+    #: Per right-hand-side symbol: 1 for an expression non-terminal, else 0.
+    bumps: Tuple[int, ...]
+    #: Offset of the first non-terminal in the right-hand side, or None.
+    first: Optional[int]
+
+    @classmethod
+    def of(cls, production: Production) -> "Expansion":
+        rhs = production.rhs
+        bumps = tuple(
+            int(type(symbol) is NonTerminal and symbol.name in EXPRESSION_NONTERMINALS)
+            for symbol in rhs
+        )
+        first = next(
+            (offset for offset, symbol in enumerate(rhs) if type(symbol) is NonTerminal), None
+        )
+        return cls(production, bumps, first)
+
+
+def expansion_table(
+    grammar: ContextFreeGrammar, production_cost: Callable[[Production], float]
+) -> Dict[str, Tuple[Tuple[Expansion, float], ...]]:
+    """Per non-terminal name, its productions as ``(expansion, step cost)``.
+
+    Built once per search, so the expansion loop neither hashes productions
+    nor takes logarithms.
+    """
+    return {
+        nonterminal.name: tuple(
+            (Expansion.of(production), production_cost(production))
+            for production in grammar.productions_for(nonterminal)
+        )
+        for nonterminal in grammar.nonterminals
+    }
+
+
+class SententialForm:
+    """A partial template as the searches see it: a leftmost-derivation state.
+
+    The score ``f(x) = c(x) + g(x) + X(x)`` of Sections 5.1/5.2 reads only
+    three facts of a partial derivation, so a form carries exactly those and
+    no derivation tree:
+
+    * ``symbols`` — the yield: terminal tokens and unexpanded non-terminals;
+    * ``levels`` — per symbol, the number of expression non-terminals
+      (:data:`EXPRESSION_NONTERMINALS`) enclosing it in the derivation, an
+      unexpanded one counting itself; their maximum is the expression depth;
+    * ``position`` — the index of the leftmost non-terminal, ``None`` once the
+      form is a complete sentence.
+
+    Forms are immutable.  :meth:`apply` splices a right-hand side in at
+    ``position`` and looks for the next leftmost non-terminal from the end of
+    the splice only, since every symbol left of it is a terminal.
+    """
+
+    __slots__ = ("symbols", "levels", "position")
+
+    def __init__(
+        self,
+        symbols: Tuple[Symbol, ...],
+        levels: Tuple[int, ...],
+        position: Optional[int],
+    ) -> None:
+        self.symbols = symbols
+        self.levels = levels
+        self.position = position
+
+    @classmethod
+    def start(cls, symbol: NonTerminal) -> "SententialForm":
+        """The one-symbol form a derivation from *symbol* starts at."""
+        return cls((symbol,), (int(symbol.name in EXPRESSION_NONTERMINALS),), 0)
+
+    @property
+    def leftmost(self) -> Optional[NonTerminal]:
+        """The leftmost non-terminal, the one an expansion rewrites."""
+        return None if self.position is None else self.symbols[self.position]
+
+    def depth(self) -> int:
+        """The expression depth the search's depth limit is checked against."""
+        return max(self.levels, default=0)
+
+    def expand(self, production: Production) -> "SententialForm":
+        """The form with *production* applied to the leftmost non-terminal."""
+        if self.position is None:
+            raise GrammarError("cannot expand a complete sentential form")
+        if self.symbols[self.position] != production.lhs:
+            raise GrammarError(
+                f"leftmost non-terminal is {self.symbols[self.position]}, "
+                f"production expands {production.lhs}"
+            )
+        return self.apply(Expansion.of(production))
+
+    def apply(self, expansion: Expansion) -> "SententialForm":
+        """:meth:`expand` without its checks, for a production the caller
+        took from the grammar's alternatives for :attr:`leftmost`."""
+        position = self.position
+        rhs = expansion.production.rhs
+        symbols = self.symbols[:position] + rhs + self.symbols[position + 1 :]
+        levels = (
+            self.levels[:position]
+            + tuple(map(self.levels[position].__add__, expansion.bumps))
+            + self.levels[position + 1 :]
+        )
+        if expansion.first is not None:
+            return SententialForm(symbols, levels, position + expansion.first)
+        for index in range(position + len(rhs), len(symbols)):
+            if type(symbols[index]) is NonTerminal:
+                return SententialForm(symbols, levels, index)
+        return SententialForm(symbols, levels, None)
+
+    def tokens(self) -> Tuple[str, ...]:
+        """The sentence of a complete form.  Raises on a partial one."""
+        if self.position is not None:
+            raise GrammarError("a partial sentential form has no token yield")
+        return self.symbols  # type: ignore[return-value]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"SententialForm({' '.join(map(str, self.symbols))!r})"
+
+
 class VisitedForms:
     """Dedup of duplicate derivations, sound with respect to search outcomes.
 
     Two kinds of duplicates are recognised:
 
     * **Partial states**, keyed on the yield symbols *plus* the per-element
-      expression-nesting levels.  Two partial trees that agree on both are
+      expression-nesting levels.  Two partial forms that agree on both are
       interchangeable: every future expansion splices into the yield at
       positions and nesting levels determined entirely by that state, so
       they derive exactly the same completions at the same future costs and
       expression depths.  A new occurrence is pruned when an equally cheap
       copy of the same state is already enqueued.
 
-    * **Complete forms**, keyed on the yield alone.  A complete tree's token
+    * **Complete forms**, keyed on the yield alone.  A complete form's token
       string fully determines the candidate template (the parser, not the
       derivation structure, fixes the semantics), so a second derivation of
       the same sentence is redundant — this is where the grammar's ambiguity
       (operator chains derive left- and right-nested) actually bites.  The
       duplicate is pruned when the recorded copy is no more expensive and
-      will really be checked (its structural depth fits the search's depth
+      will really be checked (its expression depth fits the search's depth
       budget), or when the duplicate itself would be discarded by the depth
       check anyway.
     """

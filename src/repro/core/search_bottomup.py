@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Tuple
 
-from ..grammars import DerivationTree, ProbabilisticGrammar, Symbol, is_nonterminal
+from ..grammars import ProbabilisticGrammar, Symbol, is_nonterminal
 from ..taco.errors import TacoError
 from ..taco.parser import parse_program
 from .costs import BottomUpCostModel, count_rhs_tensors
@@ -29,7 +29,9 @@ from .search import (
     PriorityQueue,
     SearchLimits,
     SearchOutcome,
+    SententialForm,
     VisitedForms,
+    expansion_table,
     notify_search_progress,
 )
 
@@ -64,8 +66,11 @@ class BottomUpSearch:
         queue = PriorityQueue()
         checked: set[str] = set()
         visited = VisitedForms() if self._limits.prune_duplicates else None
-        root = DerivationTree(self._grammar)
-        queue.push(0.0, (root, 0.0))
+        table = expansion_table(self._grammar, self._costs.production_cost)
+        root = SententialForm.start(self._grammar.start)
+        # Queue items carry the number of right-hand-side tensors placed,
+        # which the heuristic already counted when the form was enqueued.
+        queue.push(0.0, (root, 0.0, count_rhs_tensors(root.symbols)))
         target_tensors = len(self._dimension_list)
 
         while queue:
@@ -74,7 +79,7 @@ class BottomUpSearch:
                 break
             if outcome.nodes_expanded >= self._limits.max_expansions:
                 break
-            _priority, (tree, accumulated_cost) = queue.pop()
+            _priority, (form, accumulated_cost, placed) = queue.pop()
             outcome.nodes_expanded += 1
             if progress_interval and outcome.nodes_expanded % progress_interval == 0:
                 notify_search_progress(
@@ -82,44 +87,39 @@ class BottomUpSearch:
                     deadline.elapsed(), outcome.duplicates_pruned,
                 )
 
-            symbols = tree.yield_symbols()
-            tensors_in_form = count_rhs_tensors(symbols) + 1  # + LHS tensor
-
-            should_check = tree.is_complete() or (
-                tensors_in_form >= target_tensors and self._truncatable(symbols)
+            complete = form.position is None
+            tensors_in_form = placed + 1  # + LHS tensor
+            should_check = complete or (
+                tensors_in_form >= target_tensors and self._truncatable(form)
             )
             if should_check:
-                tokens = self._truncate(symbols)
+                tokens = self._truncate(form.symbols)
                 if tokens is not None and self._try_candidate(tokens, outcome, checked):
                     outcome.elapsed_seconds = deadline.elapsed()
                     return outcome
                 if outcome.candidates_tried >= self._limits.max_candidates:
                     break
-                if tree.is_complete():
+                if complete:
                     continue
 
-            for production in tree.possible_expansions():
-                cost = accumulated_cost + self._costs.production_cost(production)
-                # Score the expansion from a spliced-yield preview; the child
-                # tree is only built if it survives dedup and the penalties.
-                preview = tree.preview_expansion(production)
-                expanded_symbols, levels = preview
+            for expansion, step_cost in table[form.leftmost.name]:
+                cost = accumulated_cost + step_cost
+                child = form.apply(expansion)
+                symbols, levels = child.symbols, child.levels
                 if visited is not None:
-                    complete = not any(is_nonterminal(s) for s in expanded_symbols)
                     if (
-                        visited.should_prune_complete(expanded_symbols, levels, cost)
-                        if complete
-                        else visited.should_prune(expanded_symbols, levels, cost)
+                        visited.should_prune_complete(symbols, levels, cost)
+                        if child.position is None
+                        else visited.should_prune(symbols, levels, cost)
                     ):
                         outcome.duplicates_pruned += 1
                         continue
-                penalty = self._penalties.evaluate(expanded_symbols)
+                penalty = self._penalties.evaluate(symbols)
                 if math.isinf(penalty):
                     continue
-                placed = count_rhs_tensors(expanded_symbols)
-                heuristic = self._costs.completion_cost(placed)
-                expanded = tree.expand_leftmost(production, preview)
-                queue.push(cost + heuristic + penalty, (expanded, cost))
+                child_placed = count_rhs_tensors(symbols)
+                heuristic = self._costs.completion_cost(child_placed)
+                queue.push(cost + heuristic + penalty, (child, cost, child_placed))
 
         outcome.exhausted = not queue and not outcome.timed_out
         outcome.elapsed_seconds = deadline.elapsed()
@@ -129,9 +129,9 @@ class BottomUpSearch:
     # Truncation helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _truncatable(symbols: Tuple[Symbol, ...]) -> bool:
+    def _truncatable(form: SententialForm) -> bool:
         """True when the only non-terminals left are trailing TAIL symbols."""
-        for symbol in symbols:
+        for symbol in form.symbols[form.position :]:
             if is_nonterminal(symbol) and not str(symbol).startswith("TAIL"):
                 return False
         return True

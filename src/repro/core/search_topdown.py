@@ -1,15 +1,15 @@
 """Top-down weighted A* template enumeration (Section 5.1, Algorithm 1).
 
-The search maintains a priority queue of partial derivation trees over the
-refined template pCFG.  At each step it pops the tree with minimal score
-``f(x) = c(x) + g(x) + X(x)``:
+The search maintains a priority queue of partial templates — sentential
+forms of leftmost derivations over the refined template pCFG.  At each step
+it pops the form with minimal score ``f(x) = c(x) + g(x) + X(x)``:
 
-* complete trees are parsed into TACO templates and handed to the candidate
+* complete forms are parsed into TACO templates and handed to the candidate
   checker (validation against I/O examples, then bounded verification);
-* partial trees are expanded by applying every production of the grammar to
-  their leftmost unexpanded non-terminal.
+* partial forms are expanded by applying every production of the grammar to
+  their leftmost non-terminal.
 
-Trees deeper than the configured depth limit are discarded, and trees whose
+Forms deeper than the configured depth limit are discarded, and forms whose
 penalty is infinite are never enqueued.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..grammars import DerivationTree, ProbabilisticGrammar, is_nonterminal
+from ..grammars import ProbabilisticGrammar
 from ..taco.errors import TacoError
 from ..taco.printer import from_tokens
 from .costs import TopDownCostModel
@@ -29,7 +29,9 @@ from .search import (
     PriorityQueue,
     SearchLimits,
     SearchOutcome,
+    SententialForm,
     VisitedForms,
+    expansion_table,
     notify_search_progress,
 )
 
@@ -67,8 +69,9 @@ class TopDownSearch:
             else None
         )
 
-        root = DerivationTree(self._grammar)
-        queue.push(0.0, (root, 0.0, root.yield_depth()))
+        table = expansion_table(self._grammar, self._costs.production_cost)
+        root = SententialForm.start(self._grammar.start)
+        queue.push(0.0, (root, 0.0))
 
         while queue:
             if deadline.expired():
@@ -76,7 +79,7 @@ class TopDownSearch:
                 break
             if outcome.nodes_expanded >= self._limits.max_expansions:
                 break
-            _priority, (tree, accumulated_cost, depth) = queue.pop()
+            _priority, (form, accumulated_cost) = queue.pop()
             outcome.nodes_expanded += 1
             if progress_interval and outcome.nodes_expanded % progress_interval == 0:
                 notify_search_progress(
@@ -84,28 +87,25 @@ class TopDownSearch:
                     deadline.elapsed(), outcome.duplicates_pruned,
                 )
 
-            if depth > self._limits.max_depth:
+            if form.depth() > self._limits.max_depth:
                 continue
 
-            if tree.is_complete():
-                if self._try_candidate(tree, outcome, checked):
+            if form.position is None:
+                if self._try_candidate(form, outcome, checked):
                     outcome.elapsed_seconds = deadline.elapsed()
                     return outcome
                 if outcome.candidates_tried >= self._limits.max_candidates:
                     break
                 continue
 
-            for production in tree.possible_expansions():
-                cost = accumulated_cost + self._costs.production_cost(production)
-                # Score the expansion from a spliced-yield preview; the child
-                # tree is only built if it survives dedup and the penalties.
-                preview = tree.preview_expansion(production)
-                symbols, levels = preview
+            for expansion, step_cost in table[form.leftmost.name]:
+                cost = accumulated_cost + step_cost
+                child = form.apply(expansion)
+                symbols, levels = child.symbols, child.levels
                 if visited is not None:
-                    complete = not any(is_nonterminal(s) for s in symbols)
                     if (
                         visited.should_prune_complete(symbols, levels, cost)
-                        if complete
+                        if child.position is None
                         else visited.should_prune(symbols, levels, cost)
                     ):
                         outcome.duplicates_pruned += 1
@@ -113,10 +113,11 @@ class TopDownSearch:
                 penalty = self._penalties.evaluate(symbols)
                 if math.isinf(penalty):
                     continue
-                heuristic = self._costs.completion_cost(symbols)
-                expanded = tree.expand_leftmost(production, preview)
-                child_depth = max(levels, default=0)
-                queue.push(cost + heuristic + penalty, (expanded, cost, child_depth))
+                if child.position is None:
+                    heuristic = 0.0
+                else:
+                    heuristic = self._costs.completion_cost(symbols, child.position)
+                queue.push(cost + heuristic + penalty, (child, cost))
 
         outcome.exhausted = not queue and not outcome.timed_out
         outcome.elapsed_seconds = deadline.elapsed()
@@ -126,10 +127,10 @@ class TopDownSearch:
     # Candidate handling
     # ------------------------------------------------------------------ #
     def _try_candidate(
-        self, tree: DerivationTree, outcome: SearchOutcome, checked: set
+        self, form: SententialForm, outcome: SearchOutcome, checked: set
     ) -> bool:
         try:
-            template = from_tokens(tree.yield_tokens())
+            template = from_tokens(form.tokens())
         except TacoError:
             return False
         key = str(template)

@@ -2,7 +2,7 @@
 
 The synthesis loop's unit economics are candidates/sec (how fast the
 validator burns through substitutions) and nodes/sec (how fast the A*
-searches expand derivation trees).  This module measures both on a fixed
+searches expand sentential forms).  This module measures both on a fixed
 kernel set and emits a JSON record (``BENCH_<tag>.json``) so successive PRs
 leave a perf trajectory behind.
 

@@ -1,4 +1,4 @@
-"""Grammar machinery: CFGs, weighted CFGs, pCFGs, derivations and analyses.
+"""Grammar machinery: CFGs, weighted CFGs, pCFGs and their analyses.
 
 These implement Definitions 4.1-4.3 and 4.6 of *Guided Tensor Lifting* and the
 ``h(alpha)`` fixpoint used by the weighted A* searches of Section 5.
@@ -14,7 +14,6 @@ from .cfg import (
     is_nonterminal,
     is_terminal,
 )
-from .derivation import DerivationNode, DerivationTree, leftmost_derivation
 from .pcfg import ProbabilisticGrammar, smoothed_weights
 from .analysis import (
     completion_costs,
@@ -32,9 +31,6 @@ __all__ = [
     "Symbol",
     "WeightedGrammar",
     "ProbabilisticGrammar",
-    "DerivationNode",
-    "DerivationTree",
-    "leftmost_derivation",
     "smoothed_weights",
     "is_nonterminal",
     "is_terminal",

@@ -16,8 +16,8 @@ work instead of the max.  This scheduler races each member in its own
   ``multiprocessing.Event`` through a
   :class:`~repro.lifting.executor.TokenBudget` at the *existing* budget poll
   points (searches every queue pop, the validator every 64 substitutions).
-  The first verified win flips the token; losers wind down at their next
-  poll — no new poll sites, no signals.
+  The first verified win flips the token, in the winning child itself;
+  losers wind down at their next poll — no new poll sites, no signals.
 * **Join-all semantics.**  Every child is joined before ``race`` returns;
   a child that ignores the token past the grace window is terminated.  No
   child outlives the race.
@@ -102,6 +102,11 @@ def _race_member(
     elapsed = time.monotonic() - started
     succeeded = report is not None and report.success
     cancelled = budget.cancelled and not succeeded
+    if succeeded:
+        # Flip the token before reporting: waiting for the parent to read
+        # the result would let a lower-index member that is still checking
+        # its last candidate finish and take the win from a faster one.
+        token.set()
     results.put((index, pickle.dumps(report), error, elapsed, cancelled))
 
 
@@ -214,7 +219,6 @@ class ProcessMemberScheduler:
     ) -> None:
         """Drain results until every member reported or was declared lost."""
         pending = {run.index for run in runs}
-        race_won = False
         dead_strikes = {run.index: 0 for run in runs}
         while pending:
             try:
@@ -259,11 +263,6 @@ class ProcessMemberScheduler:
                 observer, "member_finished",
                 run.name, task_name, run.succeeded, run.elapsed_seconds,
             )
-            if run.succeeded and not race_won:
-                # First verified win: flip the shared token; the losers stop
-                # at their next cooperative poll point.
-                race_won = True
-                token.set()
 
     def _join_all(
         self, processes: List["multiprocessing.Process"], token: object

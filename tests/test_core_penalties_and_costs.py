@@ -166,6 +166,18 @@ class TestCostModels:
         assert model.completion_cost([NonTerminal("EXPR")]) > 0.0
         assert model.completion_cost(["a(i)", "=", "b(i,j)"]) == 0.0
 
+    def test_topdown_completion_cost_is_the_heuristic_sum_bit_for_bit(self):
+        from repro.grammars import completion_costs, heuristic_completion_cost
+
+        pcfg, _ = self._pcfg("topdown")
+        model = TopDownCostModel(pcfg)
+        expr, tensor = NonTerminal("EXPR"), NonTerminal("TENSOR")
+        form = ["a(i)", "=", expr, "+", tensor, "*", expr, NonTerminal("UNKNOWN")]
+        expected = heuristic_completion_cost(form, completion_costs(pcfg))
+        assert model.completion_cost(form) == expected
+        # Terminals left of the leftmost non-terminal add nothing.
+        assert model.completion_cost(form, start=2) == expected
+
     def test_bottomup_completion_cost_decreases_with_progress(self):
         pcfg, _ = self._pcfg("bottomup")
         model = BottomUpCostModel(pcfg, (1, 2, 1))

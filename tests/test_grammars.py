@@ -1,4 +1,4 @@
-"""Tests for the grammar machinery (CFG, pCFG, derivations, h(alpha))."""
+"""Tests for the grammar machinery (CFG, pCFG, sentential forms, h(alpha))."""
 
 from __future__ import annotations
 
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.search import SententialForm
 from repro.grammars import (
     ContextFreeGrammar,
-    DerivationTree,
     GrammarError,
     NonTerminal,
     ProbabilisticGrammar,
@@ -18,7 +18,6 @@ from repro.grammars import (
     completion_costs,
     derivable_nonterminals,
     heuristic_completion_cost,
-    leftmost_derivation,
     max_derivation_probabilities,
 )
 
@@ -139,27 +138,36 @@ class TestAnalysis:
         assert derivable_nonterminals(pcfg)[loop] is False
 
 
-class TestDerivationTree:
+def derive(grammar, productions):
+    """Replay *productions* as a leftmost derivation from the start symbol."""
+    form = SententialForm.start(grammar.start)
+    for production in productions:
+        form = form.expand(production)
+    return form
+
+
+class TestSententialForm:
     def test_manual_derivation(self):
-        grammar = simple_grammar()
-        tree = DerivationTree(grammar)
-        tree = tree.expand_leftmost(Production(S, (E,)))
-        tree = tree.expand_leftmost(Production(E, (E, OP, E)))
-        tree = tree.expand_leftmost(Production(E, ("x",)))
-        tree = tree.expand_leftmost(Production(OP, ("+",)))
-        tree = tree.expand_leftmost(Production(E, ("y",)))
-        assert tree.is_complete()
-        assert tree.yield_tokens() == ("x", "+", "y")
-        assert len(tree.applied_productions()) == 5
+        form = derive(
+            simple_grammar(),
+            [
+                Production(S, (E,)),
+                Production(E, (E, OP, E)),
+                Production(E, ("x",)),
+                Production(OP, ("+",)),
+                Production(E, ("y",)),
+            ],
+        )
+        assert form.position is None and form.leftmost is None
+        assert form.tokens() == ("x", "+", "y")
 
     def test_expansion_is_persistent(self):
-        grammar = simple_grammar()
-        tree = DerivationTree(grammar)
-        expanded = tree.expand_leftmost(Production(S, (E,)))
-        assert tree.leftmost_nonterminal() == S
-        assert expanded.leftmost_nonterminal() == E
+        form = SententialForm.start(S)
+        expanded = form.expand(Production(S, (E,)))
+        assert form.leftmost == S and form.symbols == (S,)
+        assert expanded.leftmost == E
 
-    def test_leftmost_derivation_replay(self):
+    def test_replay_matches_grammar_expand_leftmost(self):
         grammar = simple_grammar()
         rules = [
             Production(S, (E,)),
@@ -168,30 +176,39 @@ class TestDerivationTree:
             Production(OP, ("*",)),
             Production(E, ("y",)),
         ]
-        tree = leftmost_derivation(grammar, rules)
-        assert tree.sentence() == "x * y"
-        assert tree.applied_productions() == tuple(rules)
+        form = SententialForm.start(grammar.start)
+        reference = (grammar.start,)
+        for rule in rules:
+            form = form.expand(rule)
+            reference = grammar.expand_leftmost(reference, rule)
+            assert form.symbols == reference
+            assert form.leftmost == grammar.leftmost_nonterminal(reference)
+        assert " ".join(form.tokens()) == "x * y"
 
-    def test_expression_depth(self):
-        grammar = simple_grammar()
-        tree = DerivationTree(grammar)
-        tree = tree.expand_leftmost(Production(S, (E,)))
-        tree = tree.expand_leftmost(Production(E, (E, OP, E)))
-        assert tree.expression_depth(("E",)) >= 2
+    def test_expression_levels_and_depth(self):
+        expr = NonTerminal("EXPR")
+        form = SententialForm.start(S)
+        form = form.expand(Production(S, (expr,)))
+        assert form.levels == (1,)
+        form = form.expand(Production(expr, (expr, OP, expr)))
+        assert form.levels == (2, 1, 2)
+        assert form.depth() == 2
+        form = form.expand(Production(expr, ("x",)))
+        assert form.levels == (2, 1, 2) and form.leftmost == OP
 
-    def test_cannot_expand_complete_tree(self):
-        grammar = simple_grammar()
-        tree = DerivationTree(grammar)
-        tree = tree.expand_leftmost(Production(S, (E,)))
-        tree = tree.expand_leftmost(Production(E, ("x",)))
+    def test_cannot_expand_complete_form(self):
+        form = derive(simple_grammar(), [Production(S, (E,)), Production(E, ("x",))])
         with pytest.raises(GrammarError):
-            tree.expand_leftmost(Production(E, ("y",)))
+            form.expand(Production(E, ("y",)))
+
+    def test_production_must_expand_the_leftmost_nonterminal(self):
+        form = derive(simple_grammar(), [Production(S, (E,))])
+        with pytest.raises(GrammarError):
+            form.expand(Production(OP, ("+",)))
 
     def test_yield_tokens_requires_completeness(self):
-        grammar = simple_grammar()
-        tree = DerivationTree(grammar)
         with pytest.raises(GrammarError):
-            tree.yield_tokens()
+            SententialForm.start(simple_grammar().start).tokens()
 
 
 class TestPropertyBased:
@@ -213,16 +230,23 @@ class TestPropertyBased:
 
         rng = random.Random(seed)
         grammar = simple_grammar()
-        tree = DerivationTree(grammar)
+        form = SententialForm.start(grammar.start)
         for _ in range(200):
-            if tree.is_complete():
+            if form.position is None:
                 break
-            options = tree.possible_expansions()
+            options = grammar.productions_for(form.leftmost)
             # Bias towards terminals so random derivations terminate.
             terminal_options = [p for p in options if not p.rhs_nonterminals()]
             prefer_terminal = terminal_options and rng.random() < 0.7
             pick = rng.choice(terminal_options if prefer_terminal else list(options))
-            tree = tree.expand_leftmost(pick)
-        if tree.is_complete():
-            tokens = tree.yield_tokens()
-            assert all(isinstance(token, str) for token in tokens)
+            expected = grammar.expand_leftmost(form.symbols, pick)
+            form = form.expand(pick)
+            assert form.symbols == expected
+            assert form.leftmost == grammar.leftmost_nonterminal(expected)
+            assert len(form.levels) == len(form.symbols)
+            if form.position is not None:
+                assert form.symbols[form.position] == form.leftmost
+                assert grammar.is_complete(form.symbols[: form.position])
+        if form.position is None:
+            assert grammar.is_complete(form.symbols)
+            assert all(isinstance(token, str) for token in form.tokens())

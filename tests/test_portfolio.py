@@ -276,9 +276,10 @@ class TestPortfolioLift:
         ]
 
     def test_portfolio_beats_a_member_that_would_time_out(self):
-        # darknet.axpy_cpu: STAGG_TD times out where STAGG_BU wins in
-        # milliseconds — the portfolio must return BU's answer quickly
-        # instead of waiting for TD's deadline.
+        # darknet.axpy_cpu: STAGG_TD needs seconds of search (~3s on a
+        # 2-core x86 host) where STAGG_BU wins in milliseconds — the
+        # portfolio must return BU's answer and cancel TD instead of
+        # waiting for it to finish or reach its deadline.
         lifter = resolve_method("Portfolio(STAGG_TD,STAGG_BU)", timeout_seconds=20.0)
         started = time.monotonic()
         report = lifter.lift(_task("darknet.axpy_cpu"))

@@ -1,24 +1,22 @@
-"""Tests for incremental yields and visited-form pruning in the searches."""
+"""Tests for sentential-form expansion and visited-form pruning in the searches."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import SearchLimits, StaggConfig, StaggSynthesizer, VerifierConfig
-from repro.core.search import VisitedForms
-from repro.grammars import DerivationTree
+from repro.core.search import SententialForm, VisitedForms, expansion_table
+from repro.grammars import NonTerminal
 from repro.llm import OracleConfig, SyntheticOracle
 from repro.suite import all_benchmarks
 
 
-def _lift(benchmark, style, prune, timeout=30.0):
-    # darknet.axpy_cpu solves at ~11s both pruned and unpruned: a 10s
-    # budget sat on that boundary, so load could flip one run's outcome
-    # and break the success-parity assertion.  30s clears it for both.
+def _lift(benchmark, style, prune):
+    # No wall-clock budget: the deterministic caps decide both runs.
     limits = SearchLimits(
         max_expansions=120_000,
         max_candidates=2_400,
-        timeout_seconds=timeout,
+        timeout_seconds=None,
         prune_duplicates=prune,
     )
     config = StaggConfig(
@@ -100,7 +98,38 @@ class TestVisitedFormPruning:
         assert not visited.should_prune_complete(form, (1, 1, 3, 1, 3), cost=1.0)
 
 
-class TestIncrementalYields:
+def _replay(start, productions):
+    """Reference ``(levels, depth)`` of a leftmost derivation, from its tree.
+
+    Rebuilds the derivation tree as nested ``[symbol, children]`` lists;
+    ``levels`` counts the EXPR nodes above each yield symbol (an unexpanded
+    one counting itself), ``depth`` is the deepest EXPR nesting in the tree.
+    """
+    root = [start, None]
+
+    def leftmost_open(node):
+        symbol, children = node
+        if children is None:
+            return node if isinstance(symbol, NonTerminal) else None
+        return next(filter(None, map(leftmost_open, children)), None)
+
+    for production in productions:
+        leftmost_open(root)[1] = [[symbol, None] for symbol in production.rhs]
+    levels = []
+
+    def walk(node, level):
+        symbol, children = node
+        level += isinstance(symbol, NonTerminal) and symbol.name == "EXPR"
+        if children is None:
+            levels.append(level)
+            return level
+        return max([level] + [walk(child, level) for child in children])
+
+    depth = walk(root, 0)
+    return tuple(levels), depth
+
+
+class TestSententialFormExpansion:
     def _topdown_grammar(self):
         from repro.core.grammar_gen import topdown_template_grammar
         from repro.core.templates import templatize_all
@@ -116,43 +145,56 @@ class TestIncrementalYields:
             )
         )
         templates = templatize_all(response.candidates)
-        program = templates[0].program if templates else None
         dimension_list = (1, 1, 1, 1)
         return topdown_template_grammar(dimension_list, 1, templates)
 
-    def test_preview_matches_expansion_and_walk(self):
-        """Spliced yields/levels equal the from-scratch tree walk, everywhere."""
+    def test_expansion_matches_grammar_and_derivation_replay(self):
+        """Spliced symbols, position and levels equal the references, everywhere."""
         grammar = self._topdown_grammar()
-        frontier = [DerivationTree(grammar)]
+        table = expansion_table(grammar, lambda production: 0.0)
+        frontier = [(SententialForm.start(grammar.start), ())]
         seen = 0
         while frontier and seen < 300:
-            tree = frontier.pop()
-            for production in tree.possible_expansions():
-                preview_symbols, preview_levels = tree.preview_expansion(production)
-                child = tree.expand_leftmost(production)
-                assert child.yield_symbols() == preview_symbols
-                assert child.yield_levels() == preview_levels
-                # Ground truth: a fresh tree sharing the root but no caches.
-                fresh = DerivationTree(grammar, child.root)
-                assert fresh.yield_symbols() == preview_symbols
-                assert fresh.yield_levels() == preview_levels
-                assert child.yield_depth() == fresh.expression_depth()
+            form, applied = frontier.pop()
+            expansions = table[form.leftmost.name]
+            assert [e.production for e, _ in expansions] == list(
+                grammar.productions_for(form.leftmost)
+            )
+            for expansion, _cost in expansions:
+                production = expansion.production
+                child = form.expand(production)
+                fast = form.apply(expansion)
+                assert (fast.symbols, fast.levels, fast.position) == (
+                    child.symbols, child.levels, child.position
+                )
+                assert child.symbols == grammar.expand_leftmost(form.symbols, production)
+                assert child.leftmost == grammar.leftmost_nonterminal(child.symbols)
+                if child.position is not None:
+                    assert child.symbols[child.position] == child.leftmost
+                    assert grammar.is_complete(child.symbols[: child.position])
+                levels, depth = _replay(grammar.start, applied + (production,))
+                assert child.levels == levels
+                assert child.depth() == depth
                 seen += 1
-                if not child.is_complete():
-                    frontier.append(child)
+                if child.position is not None:
+                    frontier.append((child, applied + (production,)))
+        assert seen >= 300
 
-    def test_yield_depth_matches_expression_depth_on_search_trees(self):
+    def test_depth_matches_tree_expression_depth_on_shallow_forms(self):
         grammar = self._topdown_grammar()
-        frontier = [DerivationTree(grammar)]
+        frontier = [(SententialForm.start(grammar.start), ())]
         checked = 0
         while frontier and checked < 500:
-            tree = frontier.pop()
-            assert tree.yield_depth() == tree.expression_depth()
+            form, applied = frontier.pop()
+            assert form.depth() == _replay(grammar.start, applied)[1]
             checked += 1
-            for production in tree.possible_expansions():
-                child = tree.expand_leftmost(production)
-                if child.expression_depth() <= 4:
-                    frontier.append(child)
+            if form.position is None:
+                continue
+            for production in grammar.productions_for(form.leftmost):
+                child = form.expand(production)
+                if child.depth() <= 4:
+                    frontier.append((child, applied + (production,)))
+        assert checked == 500
 
 
 class TestPenaltyMemoization:
