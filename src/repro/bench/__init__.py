@@ -12,7 +12,7 @@ root) into a first-class subsystem:
 * :mod:`repro.bench.trajectory` — discovery of committed records and
   noise-aware regression detection across like-scope records;
 * :mod:`repro.bench.runner` — the measurement entry point behind
-  ``repro bench`` / ``scripts/bench.py`` (fail-fast overwrite protection,
+  ``python -m repro bench`` (fail-fast overwrite protection,
   tag + git-SHA stamping, summary rendering).
 
 ``repro gate`` evaluates the registry against any record and renders the

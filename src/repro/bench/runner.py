@@ -1,4 +1,4 @@
-"""Measurement entry point behind ``repro bench`` and ``scripts/bench.py``.
+"""Measurement entry point behind ``python -m repro bench``.
 
 Owns everything around the raw measurements in
 :mod:`repro.evaluation.perf`: the ``BENCH_<tag>.json`` output convention,
@@ -206,7 +206,7 @@ def summarize(record: Dict[str, object]) -> str:
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """The ``repro bench`` flag set (shared with ``scripts/bench.py``)."""
+    """The ``repro bench`` flag set."""
     parser.add_argument(
         "--scope", choices=("quick", "full", "warm-similar"), default="quick",
         help="measurement size (quick: ~seconds, full: ~a minute; "
@@ -272,13 +272,3 @@ def run_from_args(args: argparse.Namespace) -> int:
     print(summarize(record))
     print(f"record written to {resolve_output(args.tag, args.output)}")
     return 0
-
-
-def main(argv: Optional[list] = None) -> int:
-    """Standalone entry point (what ``scripts/bench.py`` shims to)."""
-    parser = argparse.ArgumentParser(
-        description="Run the candidate-throughput microbenchmarks and emit "
-        "the BENCH_<tag>.json perf record."
-    )
-    add_bench_arguments(parser)
-    return run_from_args(parser.parse_args(argv))

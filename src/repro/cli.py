@@ -89,7 +89,6 @@ from .evaluation import (
     table2,
     table3,
     text_report,
-    validate_workers,
 )
 from .llm import (
     LiftingQuery,
@@ -244,16 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--output", default=None, help="directory for CSV/JSON records")
     evaluate.add_argument("--seed", type=int, default=2025, help="oracle seed")
     evaluate.add_argument(
-        "--workers", type=int, default=1,
-        help="deprecated alias for --executor processes:N (1 = sequential; "
-        "values above the core count are clamped — per-query budgets are "
-        "wall-clock, so oversubscription can time out borderline queries)",
-    )
-    evaluate.add_argument(
         "--executor", default=None, metavar="BACKEND[:N]",
         help="execution backend for the sweep and for method-internal "
         "parallelism: 'threads' or 'processes', optionally with a worker "
-        "count ('processes:4'); replaces --workers",
+        "count ('processes:4', clamped to the core count; omit for a "
+        "sequential sweep)",
     )
     evaluate.add_argument(
         "--cache-dir", default=None,
@@ -284,19 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
         "service that re-runs every unique request)",
     )
     serve.add_argument(
-        "--workers", type=int, default=2,
-        help="scheduler worker count (deprecated alias for --executor "
-        "threads:N)",
-    )
-    serve.add_argument(
-        "--processes", action="store_true",
-        help="run jobs in a process pool instead of worker threads "
-        "(deprecated alias for --executor processes)",
-    )
-    serve.add_argument(
         "--executor", default=None, metavar="BACKEND[:N]",
-        help="scheduler pool backend: 'threads' or 'processes', optionally "
-        "with a worker count ('processes:4'); replaces --workers/--processes",
+        help="N scheduler worker threads plus the execution backend every "
+        "method runs its parallel work on: 'threads' or 'processes' "
+        "('processes:4' races portfolio members across cores).  Default: "
+        "2 threads",
     )
     serve.add_argument(
         "--timeout", type=float, default=60.0,
@@ -806,25 +792,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if executor_error:
         print(executor_error, file=sys.stderr)
         return 2
-    if execution is not None and args.workers != 1:
-        print(
-            "--workers is a deprecated alias for --executor; pass only one",
-            file=sys.stderr,
-        )
-        return 2
-    workers = 0
-    if execution is None:
-        try:
-            workers = validate_workers(args.workers)
-        except ValueError as error:
-            print(str(error), file=sys.stderr)
-            return 2
-        if args.workers and workers < args.workers:
-            print(
-                f"note: --workers {args.workers} clamped to {workers} "
-                f"(machine core count)",
-                file=sys.stderr,
-            )
     oracle = SyntheticOracle(OracleConfig(seed=args.seed))
     try:
         if args.method:
@@ -852,7 +819,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         methods,
         benchmarks,
         progress=lambda method, name, report: print(f"  {report.summary()}"),
-        workers=workers if execution is None else 0,
         execution=execution,
         cache_dir=args.cache_dir,
         seed_from_store=args.seed_from_store,
@@ -950,12 +916,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if executor_error:
         print(executor_error, file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print(
-            f"--workers must be a positive integer (got {args.workers})",
-            file=sys.stderr,
-        )
-        return 2
     if args.max_queue_depth is not None and args.max_queue_depth < 1:
         print(
             f"--max-queue-depth must be a positive integer "
@@ -977,8 +937,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         obs_trace.configure(args.trace)
     service = LiftingService(
         cache_dir=args.cache_dir,
-        workers=args.workers,
-        use_processes=args.processes,
         execution=execution,
         default_timeout=args.timeout,
         journal=args.journal,
@@ -995,12 +953,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = make_server(args.host, args.port, service)
     host, port = server.server_address[:2]
     recovered = service.scheduler.stats().get("recovered", 0)
-    shown_workers = (
-        execution.resolved_workers() if execution is not None else args.workers
-    )
     print(
         f"lifting service listening on http://{host}:{port} "
-        f"(workers={shown_workers}, cache={args.cache_dir or 'disabled'}, "
+        f"(workers={service.scheduler.worker_count}, "
+        f"cache={args.cache_dir or 'disabled'}, "
         f"journal={args.journal or 'disabled'}, recovered={recovered})",
         flush=True,
     )

@@ -374,15 +374,6 @@ class TemplateValidator:
             return False
         return abs(actual_scalar - expected) <= state.float_tolerance
 
-    def _satisfies_examples(
-        self,
-        template: TacoProgram,
-        substitution: Mapping[str, str],
-        constant_choice: Sequence[Union[int, float, Fraction]],
-    ) -> bool:
-        """Back-compat shim over :meth:`_satisfying_program`."""
-        return self._satisfying_program(template, substitution, constant_choice) is not None
-
 
 def instantiate(
     template: TacoProgram,

@@ -29,7 +29,6 @@ from .runner import (
     methods_by_name,
     penalty_ablation_methods,
     standard_methods,
-    validate_workers,
 )
 from .tables import TABLE1_METHODS, format_table, table1, table2, table3
 
@@ -66,5 +65,4 @@ __all__ = [
     "save_csv",
     "save_json",
     "text_report",
-    "validate_workers",
 ]

@@ -7,7 +7,8 @@ the tables and figures of Section 8 are built from.
 
 Full-corpus sweeps are embarrassingly parallel — every (method, benchmark)
 cell is an independent lifting run — so the runner optionally fans the cells
-out over a :class:`concurrent.futures.ProcessPoolExecutor`.  Parallel runs
+out over the pool an :class:`~repro.lifting.executor.ExecutionConfig`
+selects (threads or processes).  Parallel runs
 produce records in exactly the same deterministic (method, benchmark) order
 as sequential runs, and because every built-in lifter is stateless across
 queries (the synthetic oracle derives its RNG per query), the synthesis
@@ -15,7 +16,7 @@ outcomes match a sequential run for every query that finishes within its
 time budget.  The per-query budget is *wall-clock*, so oversubscribing the
 machine (more workers than cores) slows each concurrent search down and can
 time out a query that a sequential run would solve right at the deadline —
-keep ``workers`` at or below the core count for comparable sweeps.
+so the runner clamps the pool to the core count.
 """
 
 from __future__ import annotations
@@ -269,36 +270,14 @@ def validate_stream(
     return None, sum(outcome[2] for outcome in outcomes), timed_out
 
 
-def validate_workers(workers: Optional[int]) -> int:
-    """Normalise an explicit worker-count request against the machine.
-
-    ``None`` means "unspecified" and returns 0 (sequential).  Explicit
-    values below 1 are rejected with a clear error rather than handed to
-    the process pool, and requests above ``os.cpu_count()`` are clamped to
-    the core count — per-query budgets are wall-clock, so oversubscription
-    would time out borderline queries (see the module docstring).
-    """
-    if workers is None:
-        return 0
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(
-            f"--workers must be a positive integer (got {workers}); "
-            "use 1 for a sequential run"
-        )
-    cores = os.cpu_count() or 1
-    return min(workers, cores)
-
-
 class EvaluationRunner:
     """Runs a set of methods over a set of benchmarks.
 
-    ``execution`` is the unified surface: an
-    :class:`~repro.lifting.executor.ExecutionConfig` selecting the pool
-    backend (threads or processes) and worker count.  The legacy ``workers``
-    parameter remains as an alias — ``None``/``0``/``1`` runs every cell
-    sequentially in-process, ``>= 2`` fans the cells out over a process pool
-    with one (method, benchmark) cell per task.  Records are
+    ``execution`` is an :class:`~repro.lifting.executor.ExecutionConfig`
+    selecting the pool backend (threads or processes) and worker count,
+    clamped to the core count.  Without one, or with a single worker, every
+    cell runs sequentially in-process; otherwise the cells fan out over the
+    pool with one (method, benchmark) cell per task.  Records are
     collected in submission order, so the record order is deterministic and
     outcomes match a sequential run whenever queries finish within their
     wall-clock budgets (see the module docstring about oversubscription).
@@ -319,7 +298,6 @@ class EvaluationRunner:
         methods: Mapping[str, Lifter],
         benchmarks: Sequence[Benchmark],
         progress: Optional[Callable[[str, str, SynthesisReport], None]] = None,
-        workers: Optional[int] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         seed_from_store: bool = False,
         execution: Optional[ExecutionConfig] = None,
@@ -327,23 +305,12 @@ class EvaluationRunner:
         self._methods = dict(methods)
         self._benchmarks = list(benchmarks)
         self._progress = progress
-        if execution is not None:
-            # The unified surface: backend + workers in one object.  The
-            # legacy ``workers`` parameter maps onto it (workers >= 2 always
-            # meant a process pool), so both spellings behave identically.
-            if workers:
-                raise ValueError("pass either execution= or workers=, not both")
-            self._execution = execution
-            self._workers = (
-                validate_workers(execution.workers)
-                if execution.workers is not None
-                else execution.resolved_workers(ceiling=os.cpu_count())
-            )
-        else:
-            # workers=None/0 stays "sequential" (the pre-service contract);
-            # explicit requests are validated and clamped to the core count.
-            self._execution = ExecutionConfig(backend="processes", workers=workers or None)
-            self._workers = validate_workers(workers) if workers else 0
+        self._execution = execution
+        self._workers = (
+            execution.resolved_workers(ceiling=os.cpu_count())
+            if execution is not None
+            else 0
+        )
         if seed_from_store and cache_dir is None:
             raise ValueError("seed_from_store requires cache_dir")
         if seed_from_store:

@@ -1,14 +1,16 @@
-"""The unified execution-selection surface: one knob for every consumer.
+"""The execution-selection surface: one knob, one meaning, every consumer.
 
-Before this module each layer chose its parallelism its own way — the
-evaluation runner had ``--workers``, the service had ``--workers`` plus a
-``--processes`` switch, and the portfolio always raced threads.  An
-:class:`ExecutionConfig` replaces all of that: ``backend`` picks threads or
-processes, ``workers`` sizes the pool, and every consumer
-(:class:`~repro.portfolio.PortfolioLifter`, the
-:class:`~repro.evaluation.runner.EvaluationRunner`, the service scheduler)
-resolves the same object through ``resolve_method(..., execution=...)`` or
-its own constructor.
+An :class:`ExecutionConfig` names the backend a *method* runs its parallel
+work on: ``backend`` picks threads or processes and ``workers`` sizes the
+pool.  Every consumer resolves the same object through
+``resolve_method(..., execution=...)`` — the
+:class:`~repro.portfolio.PortfolioLifter` races its members on that
+backend, and stream-validating baselines shard on it.  The outer layers
+only add a pool size on top: the
+:class:`~repro.evaluation.runner.EvaluationRunner` fans sweep cells over a
+``workers``-sized pool of the same backend, and the lifting service runs
+``workers`` scheduler *threads* whose jobs each carry the config into
+their method.
 
 Like budgets, the execution backend is **digest-excluded**: it changes
 wall-clock, never outcomes, so two runs of the same method under different

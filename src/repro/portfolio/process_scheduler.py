@@ -45,7 +45,7 @@ from ..lifting.budget import Budget
 from ..lifting.executor import ExecutionConfig, TokenBudget
 from ..lifting.observer import LiftObserver, safe_notify
 from ..lifting.pipeline import PipelineState, ensure_picklable
-from .scheduler import POLL_INTERVAL_SECONDS, MemberRun, MemberScheduler
+from .scheduler import POLL_INTERVAL_SECONDS, MemberRun, settle_race, shared_window
 
 #: How long losers get to reach their next poll point after the race is
 #: decided before the parent terminates them.  Poll points are dense (every
@@ -115,7 +115,7 @@ class ProcessMemberScheduler:
 
     The race spawns one process per member (a portfolio rarely has more
     members than the machine has cores; the OS timeshares otherwise) —
-    ``ExecutionConfig.workers`` sizes *pools* (evaluation, service, shard
+    ``ExecutionConfig.workers`` sizes *pools* (evaluation, service threads, shard
     validation), not the race fan-out, which is fixed by the member list.
     """
 
@@ -142,13 +142,13 @@ class ProcessMemberScheduler:
     ) -> Tuple[List[MemberRun], Optional[MemberRun]]:
         """Run every member concurrently in its own process.
 
-        Same window semantics as :meth:`MemberScheduler.race`: each child's
+        Same window semantics as :meth:`.MemberScheduler.race`: each child's
         deadline is the tighter of the caller's budget and the portfolio's
         remaining window at race start.  Returns ``(runs, winner or None)``.
         """
         if not members:
             raise ValueError("cannot race an empty member list")
-        sub_timeout = MemberScheduler._shared_window(budget, deadline_seconds)
+        sub_timeout = shared_window(budget, deadline_seconds)
         # Serialize once, before any process exists: pickling failures must
         # surface in the parent with a field-level (state) or member-level
         # (lifter) message, never as a cryptic spawn-time traceback.
@@ -191,18 +191,7 @@ class ProcessMemberScheduler:
         results.close()
         results.join_thread()
 
-        winner: Optional[MemberRun] = None
-        for run in runs:
-            if run.succeeded and (winner is None or run.index < winner.index):
-                winner = run
-        # Winner first, cancellations after — the thread scheduler's
-        # observer ordering, so traces read identically across backends.
-        if winner is not None:
-            safe_notify(observer, "portfolio_winner", winner.name, task_name)
-        for run in runs:
-            if winner is not None and run.index != winner.index and run.cancelled:
-                safe_notify(observer, "member_cancelled", run.name, task_name)
-        return runs, winner
+        return runs, settle_race(runs, task_name, observer)
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -144,7 +144,7 @@ class MemberScheduler:
         """
         if not entries:
             raise ValueError("cannot race an empty member list")
-        sub_timeout = self._shared_window(budget, deadline_seconds)
+        sub_timeout = shared_window(budget, deadline_seconds)
         runs = [
             MemberRun(name=name, index=index, budget=Budget(timeout_seconds=sub_timeout))
             for index, (name, _runner) in enumerate(entries)
@@ -212,30 +212,39 @@ class MemberScheduler:
         for thread in threads:
             thread.join()
 
-        winner: Optional[MemberRun] = None
-        for run in runs:
-            if run.succeeded and (winner is None or run.index < winner.index):
-                winner = run
-        # Winner first, cancellations after: observers (and traces) see
-        # member_started < portfolio_winner < member_cancelled per member,
-        # so a reader knows *why* the losers were cancelled.
-        if winner is not None:
-            safe_notify(observer, "portfolio_winner", winner.name, task_name)
-        for run in runs:
-            if winner is not None and run.index != winner.index and run.cancelled:
-                safe_notify(observer, "member_cancelled", run.name, task_name)
-        return runs, winner
+        return runs, settle_race(runs, task_name, observer)
 
-    @staticmethod
-    def _shared_window(
-        budget: Optional[Budget], deadline_seconds: Optional[float]
-    ) -> Optional[float]:
-        """The sub-budget deadline: tighter of caller budget and own window."""
-        candidates = []
-        if deadline_seconds is not None:
-            candidates.append(max(0.0, deadline_seconds))
-        if budget is not None:
-            remaining = budget.remaining()
-            if remaining is not None:
-                candidates.append(remaining)
-        return min(candidates) if candidates else None
+
+def shared_window(
+    budget: Optional[Budget], deadline_seconds: Optional[float]
+) -> Optional[float]:
+    """The sub-budget deadline: tighter of caller budget and own window."""
+    candidates = []
+    if deadline_seconds is not None:
+        candidates.append(max(0.0, deadline_seconds))
+    if budget is not None:
+        remaining = budget.remaining()
+        if remaining is not None:
+            candidates.append(remaining)
+    return min(candidates) if candidates else None
+
+
+def settle_race(
+    runs: Sequence[MemberRun], task_name: str, observer: Optional[LiftObserver]
+) -> Optional[MemberRun]:
+    """Pick the lowest-index success and announce the race's outcome.
+
+    Winner first, cancellations after: observers (and traces) see
+    member_started < portfolio_winner < member_cancelled per member, so a
+    reader knows *why* the losers were cancelled — whatever the backend.
+    """
+    winner: Optional[MemberRun] = None
+    for run in runs:
+        if run.succeeded and (winner is None or run.index < winner.index):
+            winner = run
+    if winner is not None:
+        safe_notify(observer, "portfolio_winner", winner.name, task_name)
+        for run in runs:
+            if run.index != winner.index and run.cancelled:
+                safe_notify(observer, "member_cancelled", run.name, task_name)
+    return winner

@@ -191,13 +191,16 @@ def method_name(request: LiftRequest) -> str:
         raise ServiceError(str(error)) from None
 
 
-def build_lifter(request: LiftRequest) -> Lifter:
+def build_lifter(
+    request: LiftRequest, execution: Optional[ExecutionConfig] = None
+) -> Lifter:
     """The lifter a request implies, resolved through the method registry.
 
     This is the same construction path ``repro lift --method`` and the
     evaluation runner use, so a request's store digest matches the digests
     those layers compute for the same method name and parameters — which is
-    what lets one service cache serve all three.
+    what lets one service cache serve all three.  ``execution`` picks the
+    method's parallelism backend and is digest-excluded.
     """
     if request.candidates:
         oracle = StaticOracle(list(request.candidates))
@@ -212,6 +215,7 @@ def build_lifter(request: LiftRequest) -> Lifter:
             oracle=oracle,
             timeout_seconds=timeout,
             seed=request.seed,
+            execution=execution,
         )
     except KeyError as error:
         raise ServiceError(str(error.args[0])) from None
@@ -222,19 +226,22 @@ def execute_request(
     budget: Optional[Budget] = None,
     observer: Optional[LiftObserver] = None,
     retrieval_dir: Optional[str] = None,
+    execution: Optional[ExecutionConfig] = None,
 ) -> SynthesisReport:
-    """Run one request to completion (module-level: process-pool friendly).
+    """Run one request to completion on the calling worker thread.
 
-    In thread mode the scheduler passes the job's :class:`Budget` (and a
-    stage observer), so a per-job deadline stops the synthesis cooperatively;
-    in process mode the request's timeout is already baked into the method's
-    search limits by :func:`build_lifter`.
+    The scheduler passes the job's :class:`Budget` (and a stage observer),
+    so a per-job deadline or a cancellation stops the synthesis
+    cooperatively.
 
-    ``retrieval_dir`` (bound via :func:`functools.partial` by a service
-    running with ``seed_from_store``) arms similarity seeding: the lifter
-    first tries neighbors from the store's retrieval index as tier-0
-    candidates.  The knob is digest-excluded, so seeded and unseeded runs
-    answer the same content address.
+    Two knobs are bound via :func:`functools.partial` by the service, and
+    both are digest-excluded, so every binding answers the same content
+    address.  ``retrieval_dir`` (a service running with
+    ``seed_from_store``) arms similarity seeding: the lifter first tries
+    neighbors from the store's retrieval index as tier-0 candidates.
+    ``execution`` (the service's ``--executor``) is the method's
+    parallelism backend, exactly as on ``repro lift``: with ``processes`` a
+    portfolio races its members across cores under the job's budget.
 
     Two named fault points fire here (no-ops unless a fault plan is armed;
     see :mod:`repro.service.faults`): ``execute`` at the top — pacing and
@@ -245,7 +252,7 @@ def execute_request(
     faults.fail_point("execute")
     task = resolve_task(request)  # re-raises ServiceError for bad requests
     faults.fail_point("oracle")
-    lifter = build_lifter(request)
+    lifter = build_lifter(request, execution=execution)
     if retrieval_dir is not None:
         from ..retrieval.seeding import seeded_lifter
 
@@ -318,7 +325,6 @@ class LiftingService:
         self,
         cache_dir: Optional[Union[str, Path]] = None,
         workers: int = 2,
-        use_processes: bool = False,
         default_timeout: float = DEFAULT_TIMEOUT_SECONDS,
         journal: Optional[Union[str, Path, JobJournal]] = None,
         max_queue_depth: Optional[int] = None,
@@ -329,10 +335,9 @@ class LiftingService:
         execution: Optional[ExecutionConfig] = None,
     ) -> None:
         if execution is not None:
-            # The unified execution surface: --executor processes[:N] folds
-            # the legacy (workers, use_processes) pair into one object.
+            # One meaning of --executor: N scheduler threads, plus the
+            # backend every method runs its parallel work on.
             workers = execution.resolved_workers()
-            use_processes = execution.uses_processes
         if seed_from_store and cache_dir is None:
             raise ValueError("seed_from_store requires cache_dir")
         self._store = (
@@ -385,24 +390,24 @@ class LiftingService:
                     f"repro_store_{key}", help_text,
                     fn=lambda key=key: store.stats().get(key, 0),
                 )
-        # Similarity seeding: partial application keeps the executor
-        # module-level (process-pool picklable) and signature-inspectable
-        # (cooperative budgets still engage in thread mode); the probe
-        # feeds the scheduler's repro_retrieval_* counters on store misses.
-        executor = execute_request
-        retrieval_probe = None
-        if seed_from_store:
-            executor = functools.partial(
-                execute_request, retrieval_dir=str(cache_dir)
-            )
-            retrieval_probe = functools.partial(probe_request, cache_dir)
+        # Partial application keeps the executor the module-level function
+        # (looked up here, so a wrapped ``execute_request`` is honoured) and
+        # signature-inspectable (cooperative budgets still engage).  The
+        # probe feeds the scheduler's repro_retrieval_* counters on misses.
+        executor = functools.partial(
+            execute_request,
+            execution=execution,
+            retrieval_dir=str(cache_dir) if seed_from_store else None,
+        )
+        retrieval_probe = (
+            functools.partial(probe_request, cache_dir) if seed_from_store else None
+        )
         # Provenance records the request payload only; the lifter identity
         # is already pinned by the digest the entry is stored under.
         self._scheduler = JobScheduler(
             executor,
             store=self._store,
             workers=workers,
-            use_processes=use_processes,
             provenance=lambda request: {"request": request.to_payload()},
             journal=self._journal,
             max_attempts=max_attempts,

@@ -28,23 +28,19 @@ synthesizer:
   failing it, up to ``max_attempts`` runs; deterministic failures
   (anything that is not an ``OSError``) fail immediately.  Result-store
   writes get their own small in-place retry loop.
-* **Timeouts & cancellation** — each job carries a wall-clock budget.  In
-  thread mode (with a budget-aware executor such as
-  :func:`repro.service.api.execute_request`) the budget becomes a
-  cooperative :class:`repro.lifting.Budget` threaded through the whole
-  pipeline — oracle, search and validator all poll it — so a deadline
-  stops the synthesis instead of abandoning the worker thread, running
-  jobs can be cancelled, and the job's ``stage`` field tracks live
-  pipeline progress for ``GET /status``.  In process mode the scheduler
-  bounds the wait on the worker future (the method's own search limits
-  carry the timeout inside the process) and marks the job timed out if
-  the process overruns its budget plus a grace period.
+* **Timeouts & cancellation** — each job carries a wall-clock budget.  With
+  a budget-aware executor such as :func:`repro.service.api.execute_request`
+  the budget becomes a cooperative :class:`repro.lifting.Budget` threaded
+  through the whole pipeline — oracle, search and validator all poll it —
+  so a deadline stops the synthesis instead of abandoning the worker
+  thread, running jobs can be cancelled, and the job's ``stage`` field
+  tracks live pipeline progress for ``GET /status``.
 
-Workers come in two flavours, selected by ``use_processes``: thread
-workers call the executor in-process (cheap, shares the synthesizer's
-in-memory caches), or thread workers that dispatch into a shared
-:class:`concurrent.futures.ProcessPoolExecutor` — the same machinery the
-PR-1 evaluation runner fans corpus sweeps out over — for CPU isolation.
+Workers are always threads that call the executor in-process.  Multi-core
+parallelism belongs to the method, not the scheduler: a service built with
+``execution=ExecutionConfig("processes", N)`` binds that config into its
+executor, so a portfolio job races its members across processes while the
+job itself keeps its budget, cancellation, live ``stage`` and trace.
 """
 
 from __future__ import annotations
@@ -58,15 +54,12 @@ import threading
 import time
 import uuid
 from collections import OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.result import SynthesisReport
 from ..lifting import Budget, LiftObserver
-from ..lifting.executor import ExecutionConfig
 from ..lifting.observer import CompositeObserver, tagged_member
 from ..obs import MetricsRegistry
 from ..obs import trace as obs_trace
@@ -81,10 +74,6 @@ from .journal import (
     owner_token,
 )
 from .store import ResultStore
-
-#: Extra wall-clock slack granted on top of a job's budget in process mode
-#: before the scheduler declares the job timed out.
-TIMEOUT_GRACE_SECONDS = 10.0
 
 #: How many *terminal* jobs the scheduler remembers for status/result
 #: lookups.  Older finished jobs are evicted (their results live on in the
@@ -103,14 +92,6 @@ STORE_WRITE_ATTEMPTS = 3
 #: Fallback per-job duration estimate (s) for Retry-After before any job
 #: has completed.
 DEFAULT_DRAIN_ESTIMATE_SECONDS = 60.0
-
-
-class _JobOverrun(Exception):
-    """A job exceeded its wall-clock budget (scheduler-level timeout)."""
-
-    def __init__(self, budget: Optional[float]) -> None:
-        rendered = f"{budget:.1f}s" if budget is not None else "unlimited"
-        super().__init__(f"job overran its {rendered} budget")
 
 
 class JobState(str, Enum):
@@ -149,12 +130,12 @@ class Job:
     attempts: int = 0
     #: Earliest wall-clock time the job may (re)run — retry backoff.
     not_before: float = 0.0
-    #: Live pipeline progress ("oracle", "search:2048", ...) in thread mode.
+    #: Live pipeline progress ("oracle", "search:2048", ...).
     stage: str = ""
     created_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    #: The cooperative budget bounding this job's run (thread mode only).
+    #: The cooperative budget bounding this job's run (budget-aware executors).
     budget: Optional[Budget] = field(default=None, repr=False)
     #: Set (under the scheduler lock) once the finished report is committed:
     #: from then on `cancel()` refuses rather than racing the store write.
@@ -277,7 +258,6 @@ class JobScheduler:
         executor: Callable[[object], SynthesisReport],
         store: Optional[ResultStore] = None,
         workers: int = 2,
-        use_processes: bool = False,
         provenance: Optional[Callable[[object], Dict[str, object]]] = None,
         job_retention: int = DEFAULT_JOB_RETENTION,
         journal: Optional[JobJournal] = None,
@@ -287,18 +267,11 @@ class JobScheduler:
         ] = None,
         metrics: Optional[MetricsRegistry] = None,
         retrieval_probe: Optional[Callable[[object], int]] = None,
-        execution: Optional[ExecutionConfig] = None,
     ) -> None:
-        if execution is not None:
-            # The unified execution surface: backend + worker count in one
-            # object.  The legacy (workers, use_processes) pair keeps
-            # working; passing both spellings is a caller bug.
-            workers = execution.resolved_workers()
-            use_processes = execution.uses_processes
         if workers < 1:
             raise ValueError(f"scheduler needs at least one worker, got {workers}")
         self._executor = executor
-        self._cooperative = not use_processes and _accepts_budget(executor)
+        self._cooperative = _accepts_budget(executor)
         self._store = store
         self._provenance = provenance
         #: On a store miss, ``retrieval_probe(payload)`` reports how many
@@ -400,8 +373,6 @@ class JobScheduler:
         self._recent_finishes: deque = deque(maxlen=32)
         if self._journal is not None:
             self._recover_from_journal()
-        self._pool_workers = workers
-        self._pool = ProcessPoolExecutor(max_workers=workers) if use_processes else None
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"lift-worker-{i}", daemon=True
@@ -631,6 +602,10 @@ class JobScheduler:
     # ------------------------------------------------------------------ #
     # Introspection / control
     # ------------------------------------------------------------------ #
+    @property
+    def worker_count(self) -> int:
+        return len(self._workers)
+
     def job(self, job_id: str) -> Optional[Job]:
         with self._lock:
             return self._jobs.get(job_id)
@@ -660,11 +635,12 @@ class JobScheduler:
         """Cancel a job.
 
         Queued jobs are removed immediately.  A *running* job can be
-        cancelled when the scheduler runs in cooperative (thread) mode: its
-        budget's cancellation token is flipped and the synthesis pipeline
-        winds down at its next poll point, after which the job finishes as
-        CANCELLED (its truncated report is never written to the store).
-        Running process-mode jobs are not preempted.
+        cancelled when the executor is budget-aware: its budget's
+        cancellation token is flipped and the synthesis pipeline winds down
+        at its next poll point (a process-raced portfolio forwards the flip
+        to its member processes), after which the job finishes as CANCELLED
+        (its truncated report is never written to the store).  Jobs of a
+        single-argument executor are not preempted.
         """
         with self._lock:
             job = self._jobs.get(job_id)
@@ -720,12 +696,11 @@ class JobScheduler:
             depth = self.queue_depth()
         with self._lock:
             recent = list(self._recent_finishes)
-            workers = len(self._workers) if self._workers else self._pool_workers
         if recent:
             average = sum(duration for _, duration in recent) / len(recent)
         else:
             average = DEFAULT_DRAIN_ESTIMATE_SECONDS
-        estimate = math.ceil(max(1, depth) * average / max(1, workers))
+        estimate = math.ceil(max(1, depth) * average / self.worker_count)
         return int(min(max(estimate, 1), 600))
 
     def stats(self) -> Dict[str, object]:
@@ -779,8 +754,6 @@ class JobScheduler:
         if wait:
             for thread in self._workers:
                 thread.join(timeout)
-        if self._pool is not None:
-            self._pool.shutdown(wait=wait)
 
     # ------------------------------------------------------------------ #
     # Job lifecycle tracing (no-ops unless a trace writer is armed)
@@ -907,41 +880,6 @@ class JobScheduler:
             return job
         return None
 
-    def _replace_pool(self) -> None:
-        """Swap in a fresh process pool after a runaway job.
-
-        A future abandoned on timeout leaves its process occupying a pool
-        slot until the (cooperatively-budgeted) synthesis inside finishes.
-        Replacing the pool restores full capacity immediately; the old pool
-        is shut down without waiting and drains in the background.
-        """
-        with self._lock:
-            old, self._pool = self._pool, ProcessPoolExecutor(
-                max_workers=self._pool_workers
-            )
-        if old is not None:
-            old.shutdown(wait=False)
-
-    def _run_in_pool(self, job: Job) -> SynthesisReport:
-        """Run *job* on the process pool, bounding the wait by its budget."""
-        future = self._pool.submit(self._executor, job.payload)
-        budget = (
-            job.timeout + TIMEOUT_GRACE_SECONDS if job.timeout is not None else None
-        )
-        try:
-            return future.result(timeout=budget)
-        except FutureTimeoutError:
-            # On 3.11+ concurrent.futures.TimeoutError IS builtin
-            # TimeoutError, so distinguish a wait expiry (future still
-            # pending/running) from a TimeoutError raised *inside* the job.
-            if future.done():
-                raise
-            if not future.cancel():
-                # The job is actually running (not just queued behind a
-                # wedged slot) — recycle the pool so its slot comes back.
-                self._replace_pool()
-            raise _JobOverrun(job.timeout) from None
-
     def _maybe_retry(self, job: Job) -> bool:
         """Re-enqueue a transiently-failed job with backoff (True = retried)."""
         with self._lock:
@@ -1018,10 +956,8 @@ class JobScheduler:
                 return
         lift_tracer: Optional[TracingObserver] = None
         try:
-            if self._pool is not None:
-                report = self._run_in_pool(job)
-            elif self._cooperative:
-                # Thread mode with a budget-aware executor: the job's
+            if self._cooperative:
+                # A budget-aware executor: the job's
                 # deadline becomes a cooperative budget (created by the
                 # worker loop, under the lock) threaded through the whole
                 # pipeline (oracle, search, validator), so a timeout stops
@@ -1045,14 +981,6 @@ class JobScheduler:
                 )
             else:
                 report = self._executor(job.payload)
-        except _JobOverrun as overrun:
-            job.error = str(overrun)
-            with self._lock:
-                self._budget_truncated.inc()
-            if lift_tracer is not None:
-                lift_tracer.close(success=False, error="budget overrun")
-            self._finish(job, JobState.FAILED)
-            return
         except BaseException as error:  # noqa: BLE001 - never kill a worker
             job.error = f"{type(error).__name__}: {error}"
             if lift_tracer is not None:

@@ -3,19 +3,20 @@
 The CLI is scriptable glue: its exit statuses and error messages are part
 of the interface (CI jobs and the serving layer's clients branch on
 them), so they are pinned here — ``corpus`` output shapes, ``lift``
-argument errors, ``evaluate --workers`` validation, and the ``serve`` /
+argument errors, ``--executor`` validation, and the ``serve`` /
 ``submit`` failure modes that don't need a network.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
-from pathlib import Path
+import os
 
 import pytest
 
 from repro.cli import main
+from repro.evaluation import EvaluationRunner
+from repro.lifting import ExecutionConfig
 from repro.suite import all_benchmarks, get_benchmark
 
 
@@ -90,29 +91,32 @@ class TestLiftErrors:
 
 
 # ---------------------------------------------------------------------- #
-# evaluate: --workers validation
+# evaluate: --executor validation
 # ---------------------------------------------------------------------- #
 class TestEvaluateWorkersValidation:
     def test_zero_workers_rejected(self, capsys):
-        assert main(["evaluate", "--limit", "1", "--workers", "0"]) == 2
-        assert "--workers must be a positive integer" in capsys.readouterr().err
+        assert main(["evaluate", "--limit", "1", "--executor", "processes:0"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_negative_workers_rejected(self, capsys):
-        assert main(["evaluate", "--limit", "1", "--workers", "-3"]) == 2
-        assert "positive integer" in capsys.readouterr().err
+        assert main(["evaluate", "--limit", "1", "--executor", "processes:-3"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
-    def test_oversubscription_clamped_with_note(self, capsys):
+    def test_oversubscription_clamped_to_cores(self):
         status = main(
             [
                 "evaluate",
                 "--limit", "1",
                 "--category", "llama",
                 "--timeout", "10",
-                "--workers", "100000",
+                "--executor", "processes:100000",
             ]
         )
         assert status == 0
-        assert "clamped to" in capsys.readouterr().err
+        runner = EvaluationRunner(
+            {}, [], execution=ExecutionConfig("processes", workers=100000)
+        )
+        assert runner._workers == os.cpu_count()
 
 
 # ---------------------------------------------------------------------- #
@@ -120,8 +124,8 @@ class TestEvaluateWorkersValidation:
 # ---------------------------------------------------------------------- #
 class TestServiceCommands:
     def test_serve_rejects_nonpositive_workers(self, capsys):
-        assert main(["serve", "--workers", "0"]) == 2
-        assert "--workers must be a positive integer" in capsys.readouterr().err
+        assert main(["serve", "--executor", "threads:0"]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
 
     def test_submit_without_a_server_exits_1(self, capsys):
         # Port 9 (discard) is never running a lifting service.
@@ -133,16 +137,8 @@ class TestServiceCommands:
 
 
 # ---------------------------------------------------------------------- #
-# scripts/bench.py: the shim over repro.bench.runner
+# bench: the BENCH_<tag>.json overwrite guard
 # ---------------------------------------------------------------------- #
-def _load_bench_module():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
-    spec = importlib.util.spec_from_file_location("bench_script", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _fake_suite_record(include_portfolio=True):
     """A schema-valid record (run_bench validates before writing)."""
     measurement = {"candidates": 10, "seconds": 0.1, "candidates_per_sec": 100.0}
@@ -176,44 +172,40 @@ def _fake_suite_record(include_portfolio=True):
 
 class TestBenchOverwriteGuard:
     def test_refuses_to_overwrite_existing_record(self, tmp_path, capsys, monkeypatch):
-        bench = _load_bench_module()
         calls = []
         monkeypatch.setattr(
             "repro.evaluation.perf.run_perf_suite", lambda *a, **k: calls.append(a)
         )
         output = tmp_path / "BENCH_pr1.json"
         output.write_text(json.dumps({"prior": "baseline"}))
-        status = bench.main(["--output", str(output)])
+        status = main(["bench", "--output", str(output)])
         assert status == 2
         assert calls == []  # the measurement never ran
         assert "refusing to overwrite" in capsys.readouterr().err
         assert json.loads(output.read_text()) == {"prior": "baseline"}
 
     def test_force_overwrites(self, tmp_path, monkeypatch, capsys):
-        bench = _load_bench_module()
         monkeypatch.setattr(
             "repro.evaluation.perf.run_perf_suite",
             lambda **kwargs: _fake_suite_record(),
         )
         output = tmp_path / "BENCH_pr1.json"
         output.write_text(json.dumps({"prior": "baseline"}))
-        assert bench.main(["--output", str(output), "--force"]) == 0
+        assert main(["bench", "--output", str(output), "--force"]) == 0
         assert json.loads(output.read_text())["schema"] == "repro-perf-v1"
 
     def test_fresh_tag_writes_without_force(self, tmp_path, monkeypatch):
-        bench = _load_bench_module()
         monkeypatch.setattr(
             "repro.evaluation.perf.run_perf_suite",
             lambda **kwargs: _fake_suite_record(),
         )
         output = tmp_path / "BENCH_fresh.json"
-        assert bench.main(["--output", str(output)]) == 0
+        assert main(["bench", "--output", str(output)]) == 0
         assert output.exists()
 
     def test_no_portfolio_skips_the_race_and_prints_cleanly(
         self, tmp_path, monkeypatch, capsys
     ):
-        bench = _load_bench_module()
         seen = {}
 
         def fake_suite(scope="quick", include_portfolio=True, **kwargs):
@@ -223,12 +215,7 @@ class TestBenchOverwriteGuard:
 
         monkeypatch.setattr("repro.evaluation.perf.run_perf_suite", fake_suite)
         output = tmp_path / "BENCH_fresh.json"
-        assert bench.main(["--output", str(output), "--no-portfolio"]) == 0
+        assert main(["bench", "--output", str(output), "--no-portfolio"]) == 0
         assert seen["include_portfolio"] is False
         out = capsys.readouterr().out
         assert not any(line.startswith("portfolio") for line in out.splitlines())
-
-    def test_shim_shares_the_runner_entry_point(self):
-        import repro.bench.runner as runner
-
-        assert _load_bench_module().main is runner.main

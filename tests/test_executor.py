@@ -3,7 +3,7 @@
 Covers the PR-10 API contract: `ExecutionConfig` parsing and validation,
 the cross-process `TokenBudget`, picklable pipeline state with loud
 per-field errors, shard partitioning for stream validation, the
-`EvaluationRunner`'s execution/workers mapping — and the digest-exclusion
+`EvaluationRunner`'s execution mapping — and the digest-exclusion
 regression test: the executor backend must never enter a store digest.
 """
 
@@ -217,7 +217,7 @@ class TestValidateStream:
 
 
 # ---------------------------------------------------------------------- #
-# EvaluationRunner: the unified surface vs. the legacy workers alias
+# EvaluationRunner: the execution surface
 # ---------------------------------------------------------------------- #
 class TestRunnerExecutionMapping:
     def _methods(self):
@@ -226,15 +226,6 @@ class TestRunnerExecutionMapping:
 
     def _benchmarks(self):
         return [b for b in select() if b.name == "darknet.copy_cpu"]
-
-    def test_execution_and_workers_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            EvaluationRunner(
-                self._methods(),
-                self._benchmarks(),
-                workers=2,
-                execution=ExecutionConfig("threads", workers=2),
-            )
 
     def test_thread_backend_matches_sequential_outcomes(self):
         sequential = EvaluationRunner(self._methods(), self._benchmarks()).run()

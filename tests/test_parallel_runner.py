@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.evaluation import EvaluationRunner, standard_methods
+from repro.lifting import ExecutionConfig
 from repro.llm import OracleConfig, SyntheticOracle
 from repro.suite import all_benchmarks
 
@@ -39,7 +40,9 @@ class TestParallelRunner:
     def test_parallel_records_match_sequential(self):
         benchmarks = all_benchmarks()[::15]
         sequential = EvaluationRunner(_methods(), benchmarks).run()
-        parallel = EvaluationRunner(_methods(), benchmarks, workers=2).run()
+        parallel = EvaluationRunner(
+            _methods(), benchmarks, execution=ExecutionConfig("processes", workers=2)
+        ).run()
         assert len(parallel.records) == len(sequential.records)
         assert [_comparable(r) for r in parallel.records] == [
             _comparable(r) for r in sequential.records
@@ -47,7 +50,9 @@ class TestParallelRunner:
 
     def test_workers_one_is_sequential(self):
         benchmarks = all_benchmarks()[:1]
-        runner = EvaluationRunner(_methods(), benchmarks, workers=1)
+        runner = EvaluationRunner(
+            _methods(), benchmarks, execution=ExecutionConfig("processes", workers=1)
+        )
         assert runner._workers == 1
         result = runner.run()
         assert len(result.records) == len(_methods())
@@ -59,7 +64,7 @@ class TestParallelRunner:
             _methods(),
             benchmarks,
             progress=lambda method, name, report: calls.append((method, name)),
-            workers=2,
+            execution=ExecutionConfig("processes", workers=2),
         ).run()
         expected = [
             (label, bench.name) for label in _methods() for bench in benchmarks

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
 
 import pytest
 
 from repro.core.synthesizer import synthesis_invocations
 from repro.evaluation import EvaluationRunner, save_json, standard_methods
+from repro.lifting import Budget, ExecutionConfig
+from repro.lifting.observer import CompositeObserver, LiftObserver
 from repro.llm import OracleConfig, SyntheticOracle
+from repro.obs import load_trace
+from repro.obs import trace as obs_trace
+from repro.obs.report import build_forest
 from repro.service import LiftRequest, LiftingService, ServiceError, resolve_task
+from repro.service import api
+from repro.service.scheduler import JobState
 from repro.suite import all_benchmarks
 
 
@@ -134,6 +143,132 @@ class TestLiftingService:
         with LiftingService(cache_dir=tmp_path, workers=1) as service:
             assert service.status("job-999999-deadbeef") is None
             assert service.result("job-999999-deadbeef") is None
+
+
+# ---------------------------------------------------------------------- #
+# --executor on the service: scheduler threads + the method's backend
+# ---------------------------------------------------------------------- #
+PORTFOLIO = "Portfolio(STAGG_TD,STAGG_BU)"
+PROCESSES = ExecutionConfig("processes", workers=2)
+
+
+class _RaceProbe(LiftObserver):
+    """Snapshot the job's live stage each time a portfolio member starts."""
+
+    def __init__(self, job, racing: threading.Event) -> None:
+        self._job = job
+        self._racing = racing
+        self.stages = []
+
+    def member_started(self, member: str, task_name: str) -> None:
+        self.stages.append(self._job.status_dict().get("stage", ""))
+        self._racing.set()
+
+
+class _RaceSpy:
+    """Records what the service's executor was handed, per run."""
+
+    def __init__(self) -> None:
+        self.calls = []
+        self.probes = []
+        self.racing = threading.Event()
+        self.jobs = []
+        self.handed = threading.Event()
+
+    def submitted(self, job) -> None:
+        self.jobs.append(job)
+        self.handed.set()
+
+
+@pytest.fixture
+def race_spy(monkeypatch):
+    """Wrap ``execute_request`` (before a service is built) to watch jobs.
+
+    The wrapped executor holds each run until the test hands it the job
+    (``spy.submitted(job)``), so the probe can read the job's live stage
+    without any timing assumption.
+    """
+    real = api.execute_request
+    spy = _RaceSpy()
+
+    def spying(request, budget=None, observer=None, **bound):
+        assert spy.handed.wait(30)
+        probe = _RaceProbe(spy.jobs[-1], spy.racing)
+        spy.calls.append({"budget": budget, **bound})
+        spy.probes.append(probe)
+        return real(
+            request, budget=budget, observer=CompositeObserver(observer, probe),
+            **bound,
+        )
+
+    monkeypatch.setattr(api, "execute_request", spying)
+    return spy
+
+
+class TestServiceExecution:
+    def test_digest_ignores_the_execution_backend(self, tmp_path):
+        request = LiftRequest(benchmark="darknet.copy_cpu", timeout=30.0)
+        jobs = []
+        for execution in (None, ExecutionConfig("threads", 2), PROCESSES):
+            with LiftingService(cache_dir=tmp_path, execution=execution) as service:
+                job = service.submit(request)
+                assert job.wait(60)
+                jobs.append(job)
+        assert {job.digest for job in jobs} == {api.request_digest(request)}
+        # The processes service answers from the threads service's store.
+        assert [job.cached for job in jobs] == [False, True, True]
+
+    def test_process_portfolio_job_is_budgeted_and_staged(self, tmp_path, race_spy):
+        request = LiftRequest(benchmark="darknet.copy_cpu", method=PORTFOLIO, timeout=60.0)
+        with LiftingService(cache_dir=tmp_path, execution=PROCESSES) as service:
+            job = service.submit(request)
+            race_spy.submitted(job)
+            assert job.wait(120)
+            assert service.scheduler.worker_count == 2
+        assert job.state is JobState.SUCCEEDED and job.report.success
+        (call,) = race_spy.calls
+        assert isinstance(call["budget"], Budget)
+        assert call["execution"] == PROCESSES
+        stages = race_spy.probes[0].stages
+        assert stages and all(stage.startswith("portfolio:") for stage in stages)
+
+    def test_cancel_running_process_portfolio(self, tmp_path, race_spy):
+        # Neither member lifts screen_rows, and STAGG_TD needs seconds to
+        # exhaust its search, so the race is still running when cancelled.
+        request = LiftRequest(benchmark="blend.screen_rows", method=PORTFOLIO, timeout=120.0)
+        with LiftingService(cache_dir=tmp_path, execution=PROCESSES) as service:
+            job = service.submit(request)
+            race_spy.submitted(job)
+            assert race_spy.racing.wait(60)
+            assert service.scheduler.cancel(job.id)
+            assert job.wait(60)
+            assert job.state is JobState.CANCELLED
+            assert job.digest not in service.store
+            assert len(service.store) == 0
+        assert multiprocessing.active_children() == []
+
+    def test_job_span_parents_process_member_spans(self, tmp_path):
+        obs_trace.reset()
+        path = tmp_path / "svc.jsonl"
+        obs_trace.configure(path)
+        try:
+            request = LiftRequest(benchmark="darknet.copy_cpu", method=PORTFOLIO, timeout=60.0)
+            with LiftingService(execution=PROCESSES) as service:
+                job = service.submit(request)
+                assert job.wait(120)
+        finally:
+            obs_trace.reset()
+        (trace,) = [t for t in build_forest(load_trace(path)) if t.trace_id == job.id]
+        (root,) = trace.roots
+        assert root.name == "job"
+
+        def descendants(node):
+            for child in node.children:
+                yield child
+                yield from descendants(child)
+
+        members = {n.name for n in descendants(root) if n.name.startswith("member:")}
+        assert members == {"member:STAGG_TD", "member:STAGG_BU"}
 
 
 # ---------------------------------------------------------------------- #

@@ -232,7 +232,7 @@ class TestKillAndRestart:
                 "--port", "0",
                 "--cache-dir", str(data_dir / "store"),
                 "--journal", str(data_dir / "data"),
-                "--workers", "1",
+                "--executor", "threads:1",
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
