@@ -12,6 +12,7 @@ human summary block.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import subprocess
 import sys
@@ -33,8 +34,14 @@ class BenchColdPathError(RuntimeError):
     """The record would land inside a serving-tier data directory."""
 
 
+@functools.lru_cache(maxsize=None)
 def current_git_sha(root: Optional[Path] = None) -> Optional[str]:
-    """The repo's HEAD SHA, or None outside a git checkout."""
+    """The repo's HEAD SHA, or None outside a git checkout.
+
+    Memoized per *root*: the sha cannot change under a running process, and
+    every store write and service construction stamps it, so only the first
+    call pays for the ``git`` subprocess.
+    """
     try:
         completed = subprocess.run(
             ["git", "rev-parse", "HEAD"],

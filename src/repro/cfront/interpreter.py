@@ -13,10 +13,33 @@ the verification setup of the paper:
 
 Pointers are modelled as (buffer, offset) pairs so the pointer-walking idioms
 of the corpus (``*p++``, ``p = &A[0]``, ``p += N``) behave exactly as in C.
+
+Lane values
+-----------
+
+Bounded verification runs one kernel on thousands of inputs, and most of the
+cost of a run is tree-walk dispatch, not arithmetic.  So a value may also be
+a *lane value*: a 1-D object :class:`numpy.ndarray` holding one entry per
+input (lane), and a single run then executes every lane in lockstep.  Values
+that do not depend on the inputs (sizes, loop counters, literals, pointers)
+stay plain Python scalars.  ``+``, ``-``, ``*`` and unary ``-`` are NumPy
+object-array operations, which apply the same Python operator per element;
+every other operation maps the scalar helper over the lanes with
+``np.frompyfunc``, so each lane computes exactly what a scalar run computes.
+Operations never update an array in place, because buffer snapshots share
+lane arrays.
+
+Some code cannot run in lockstep: a condition or a subscript whose lanes
+disagree, or a lane that traps (a :class:`CRuntimeError` such as division by
+zero).  Such a run raises :class:`LaneDivergence`; the caller then runs the
+lanes one at a time.  Pass lane values for scalar parameters as lane arrays
+and for pointer parameters as a list with one lane array per element.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -59,6 +82,33 @@ MODES = ("int", "float", "exact")
 DEFAULT_STEP_LIMIT = 20_000_000
 
 Number = Union[int, float, Fraction]
+
+#: The C comparison operators and the Python predicates they map to.
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
+
+
+class LaneDivergence(Exception):
+    """A lane-valued run cannot continue in lockstep.
+
+    Raised when a condition or a subscript differs between lanes, or when any
+    lane traps.  The lanes must then be run one at a time.
+    """
+
+
+def _is_lanes(value) -> bool:
+    return type(value) is np.ndarray
+
+
+def _lanewise(helper, *args) -> np.ndarray:
+    """The scalar *helper* applied per lane; *args* mix lane values and scalars."""
+    return np.frompyfunc(helper, len(args), 1)(*args)
 
 
 class Buffer:
@@ -155,6 +205,8 @@ class CInterpreter:
         self._mode = mode
         self._step_limit = step_limit
         self._steps = 0
+        #: Whether the current run has lane-valued arguments.
+        self._lanes = False
 
     @property
     def mode(self) -> str:
@@ -175,6 +227,7 @@ class CInterpreter:
         callers can inspect output arrays without mutating their inputs.
         """
         self._steps = 0
+        self._lanes = False
         env: Dict[str, Value] = {}
         buffers: Dict[str, Buffer] = {}
         for param in function.parameters:
@@ -192,6 +245,10 @@ class CInterpreter:
             self._exec_block(function.body, env)
         except _ReturnSignal as signal:
             return_value = signal.value
+        except CRuntimeError as exc:
+            if self._lanes:
+                raise LaneDivergence(f"a lane traps: {exc}") from exc
+            raise
         finals: Dict[str, Union[Number, List[Number]]] = {}
         for param in function.parameters:
             if param.name in buffers:
@@ -215,9 +272,19 @@ class CInterpreter:
             values = [raw]
         else:
             raise CTypeError(f"cannot pass {type(raw).__name__} for pointer parameter")
-        return [self._coerce_scalar(v, CType(ctype.base, 0)) for v in values]
+        element = CType(ctype.base, 0)
+        return [self._coerce_scalar(v, element) for v in values]
 
     def _coerce_scalar(self, raw, ctype: CType) -> Number:
+        if _is_lanes(raw):
+            self._lanes = True
+            if (
+                self._mode == "exact"
+                and ctype.is_floating
+                and all(isinstance(v, Fraction) for v in raw)
+            ):
+                return raw  # what coercing each lane would return
+            return _lanewise(lambda value: self._coerce_scalar(value, ctype), raw)
         if isinstance(raw, Pointer):
             raise CTypeError("cannot pass a pointer where a scalar is expected")
         if self._mode == "exact":
@@ -301,7 +368,7 @@ class CInterpreter:
                         raise CTypeError(
                             f"local array {decl.name!r} needs an explicit size"
                         )
-                    total *= int(self._eval(size_expr, env))
+                    total *= self._offset(self._eval(size_expr, env))
                 buffer = Buffer([self._zero(ctype)] * total, name=decl.name)
                 env[decl.name] = Pointer(buffer, 0)
             elif decl.init is not None:
@@ -384,9 +451,9 @@ class CInterpreter:
         if expr.op == "-":
             return -value
         if expr.op == "!":
-            return 0 if self._truthy(value) else 1
+            return _lanewise(_logical_not, value) if _is_lanes(value) else _logical_not(value)
         if expr.op == "~":
-            return ~int(value)
+            return _lanewise(_invert, value) if _is_lanes(value) else _invert(value)
         raise CRuntimeError(f"unsupported unary operator {expr.op!r}")
 
     def _eval_incdec(self, expr: IncDec, env: Dict[str, Value]) -> Value:
@@ -418,13 +485,13 @@ class CInterpreter:
         # Pointer arithmetic
         if isinstance(left, Pointer) and not isinstance(right, Pointer):
             if op == "+":
-                return left.advanced(int(right))
+                return left.advanced(self._offset(right))
             if op == "-":
-                return left.advanced(-int(right))
+                return left.advanced(-self._offset(right))
             raise CRuntimeError(f"unsupported pointer operation {op!r}")
         if isinstance(right, Pointer) and not isinstance(left, Pointer):
             if op == "+":
-                return right.advanced(int(left))
+                return right.advanced(self._offset(left))
             raise CRuntimeError(f"unsupported pointer operation {op!r}")
         if isinstance(left, Pointer) and isinstance(right, Pointer):
             if op == "-":
@@ -435,21 +502,24 @@ class CInterpreter:
                 return self._compare(op, left.offset, right.offset)
             raise CRuntimeError(f"unsupported pointer operation {op!r}")
 
-        if op in ("==", "!=", "<", ">", "<=", ">="):
-            return self._compare(op, left, right)
+        # NumPy object arrays apply + - * per lane with the Python operator.
         if op == "+":
             return left + right
         if op == "-":
             return left - right
         if op == "*":
             return left * right
-        if op == "/":
-            return self._divide(left, right)
-        if op == "%":
-            if right == 0:
-                raise CRuntimeError("modulo by zero")
-            return int(abs(int(left)) % abs(int(right))) * (1 if left >= 0 else -1)
-        raise CRuntimeError(f"unsupported binary operator {op!r}")
+        if op in _COMPARISONS:
+            helper = functools.partial(self._compare, op)
+        elif op == "/":
+            helper = self._divide
+        elif op == "%":
+            helper = _modulo
+        else:
+            raise CRuntimeError(f"unsupported binary operator {op!r}")
+        if _is_lanes(left) or _is_lanes(right):
+            return _lanewise(helper, left, right)
+        return helper(left, right)
 
     def _divide(self, left: Number, right: Number) -> Number:
         if right == 0:
@@ -465,15 +535,7 @@ class CInterpreter:
 
     @staticmethod
     def _compare(op: str, left, right) -> int:
-        table = {
-            "==": left == right,
-            "!=": left != right,
-            "<": left < right,
-            ">": left > right,
-            "<=": left <= right,
-            ">=": left >= right,
-        }
-        return 1 if table[op] else 0
+        return 1 if _COMPARISONS[op](left, right) else 0
 
     def _eval_assignment(self, expr: Assignment, env: Dict[str, Value]) -> Value:
         location = self._lvalue(expr.target, env)
@@ -483,9 +545,9 @@ class CInterpreter:
             op = expr.op[:-1]
             if isinstance(current, Pointer):
                 if op == "+":
-                    value = current.advanced(int(value))
+                    value = current.advanced(self._offset(value))
                 elif op == "-":
-                    value = current.advanced(-int(value))
+                    value = current.advanced(-self._offset(value))
                 else:
                     raise CRuntimeError(f"unsupported pointer assignment {expr.op!r}")
             else:
@@ -497,12 +559,16 @@ class CInterpreter:
         args = [self._eval(arg, env) for arg in expr.args]
         name = expr.name
         if name in ("abs", "labs", "fabs", "fabsf"):
-            return abs(args[0])
-        if name in ("fmax", "fmaxf", "max"):
-            return max(args[0], args[1])
-        if name in ("fmin", "fminf", "min"):
-            return min(args[0], args[1])
-        raise CRuntimeError(f"call to unsupported function {name!r}")
+            helper, args = abs, args[:1]
+        elif name in ("fmax", "fmaxf", "max"):
+            helper, args = max, args[:2]
+        elif name in ("fmin", "fminf", "min"):
+            helper, args = min, args[:2]
+        else:
+            raise CRuntimeError(f"call to unsupported function {name!r}")
+        if any(_is_lanes(arg) for arg in args):
+            return _lanewise(helper, *args)
+        return helper(*args)
 
     # ------------------------------------------------------------------ #
     # Lvalues and storage
@@ -530,7 +596,7 @@ class CInterpreter:
             raise CRuntimeError("array index must be an integer")
         if not isinstance(base, Pointer):
             raise CRuntimeError("subscript applied to a non-pointer value")
-        return base, int(index)
+        return base, self._offset(index)
 
     def _load(self, location) -> Value:
         kind = location[0]
@@ -552,6 +618,8 @@ class CInterpreter:
         pointer.buffer.write(pointer.offset + offset, value)
 
     def _store_coerce(self, value: Value, ctype: CType) -> Value:
+        if _is_lanes(value):
+            return _lanewise(lambda lane: self._store_coerce(lane, ctype), value)
         if isinstance(value, Pointer):
             return value
         if ctype.is_pointer:
@@ -574,7 +642,38 @@ class CInterpreter:
     def _truthy(value: Value) -> bool:
         if isinstance(value, Pointer):
             return True
+        if _is_lanes(value):
+            truth = value != 0
+            if truth.all():
+                return True
+            if truth.any():
+                raise LaneDivergence("a condition differs between lanes")
+            return False
         return value != 0
+
+    @staticmethod
+    def _offset(value: Value) -> int:
+        """An index or pointer offset; every lane must agree on it."""
+        if _is_lanes(value):
+            first = value[0]
+            if not (value == first).all():
+                raise LaneDivergence("an index differs between lanes")
+            value = first
+        return int(value)
+
+
+def _modulo(left: Number, right: Number) -> int:
+    if right == 0:
+        raise CRuntimeError("modulo by zero")
+    return int(abs(int(left)) % abs(int(right))) * (1 if left >= 0 else -1)
+
+
+def _logical_not(value: Number) -> int:
+    return 0 if value != 0 else 1
+
+
+def _invert(value: Number) -> int:
+    return ~int(value)
 
 
 def run_function(

@@ -5,10 +5,19 @@ input/output examples obtained by running the original C program on randomly
 generated inputs.  Examples are generated in exact (rational) arithmetic so
 that later comparison against the TACO evaluator is never confounded by
 floating-point rounding.
+
+Bounded verification runs the kernel on many inputs at one sizes value.
+:meth:`IOExampleGenerator.plan` resolves each argument's kind, shape and
+value count once per sizes value; :meth:`IOExampleGenerator.generate_one`
+and the lane-batch methods (:meth:`~IOExampleGenerator.draw_lanes`,
+:meth:`~IOExampleGenerator.run_lanes`) share that plan, and drawing a lane
+batch consumes the random generator exactly as one ``generate_one`` call per
+lane would.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +60,92 @@ class IOExample:
         return ()
 
 
+@dataclass(frozen=True)
+class ArgumentSlot:
+    """How one kernel argument is filled in for a run at fixed sizes."""
+
+    name: str
+    #: ``"size"``, ``"scalar"`` or ``"array"`` (arrays include the output).
+    kind: str
+    #: The size value (size slots only).
+    size: int = 0
+    #: The array shape (``()`` for scalars and rank-0 arrays).
+    shape: Tuple[int, ...] = ()
+    #: Values drawn per example (0 for size slots).
+    count: int = 0
+    #: Whether the slot is the output buffer.
+    is_output: bool = False
+    #: Inclusive range of random values.
+    low: int = 0
+    high: int = 0
+
+    @property
+    def free(self) -> bool:
+        """A freely-varying input: neither a size nor the output."""
+        return self.kind != "size" and not self.is_output
+
+
+@dataclass
+class ArgumentPlan:
+    """Every argument's slot at one sizes value, in argument order."""
+
+    sizes: Dict[str, int]
+    slots: Tuple[ArgumentSlot, ...]
+    #: The output argument (None when the kernel returns its result).
+    output_name: Optional[str]
+    output_shape: Tuple[int, ...]
+
+    @property
+    def free_slots(self) -> Tuple[ArgumentSlot, ...]:
+        return tuple(slot for slot in self.slots if slot.free)
+
+    def values(self, row: Sequence[int]) -> Dict[str, Union[int, List[int]]]:
+        """A flat row of free-input values as ``generate_one``'s ``values``."""
+        fixed: Dict[str, Union[int, List[int]]] = {}
+        cursor = 0
+        for slot in self.free_slots:
+            chunk = list(row[cursor : cursor + slot.count])
+            cursor += slot.count
+            fixed[slot.name] = chunk[0] if slot.kind == "scalar" else chunk
+        return fixed
+
+
+#: One lane of a batch: the flat free-input values (None draws them at
+#: random) and whether random draws avoid zero.
+Lane = Tuple[Optional[Sequence[int]], bool]
+
+
+@dataclass
+class LaneBatch:
+    """The drawn inputs of many examples at one sizes value, one per lane."""
+
+    plan: ArgumentPlan
+    lanes: int
+    #: Recorded inputs stacked to ``(lanes,) + shape``, by argument name.
+    inputs: Dict[str, np.ndarray]
+    #: Interpreter arguments: lane arrays for scalars, lists of lane arrays
+    #: for pointers, plain ints for sizes.
+    call_args: Dict[str, object]
+
+    def example(self, lane: int, outputs: np.ndarray) -> IOExample:
+        """Lane *lane* as an :class:`IOExample`, given the batch's outputs."""
+        inputs: Dict[str, Union[int, Fraction, np.ndarray]] = {}
+        for slot in self.plan.slots:
+            if slot.kind == "size":
+                inputs[slot.name] = slot.size
+            elif slot.kind == "scalar":
+                inputs[slot.name] = self.inputs[slot.name][lane]
+            elif not slot.is_output:
+                inputs[slot.name] = self.inputs[slot.name][lane, ...].copy()
+        output = outputs[lane, ...]
+        return IOExample(
+            inputs=inputs,
+            output=output.copy() if self.plan.output_shape else output.item(),
+            output_name=self.plan.output_name,
+            sizes=dict(self.plan.sizes),
+        )
+
+
 class IOExampleGenerator:
     """Generates I/O examples for a lifting task by running its C kernel."""
 
@@ -68,6 +163,7 @@ class IOExampleGenerator:
         self._rng = random.Random(seed)
         self._value_range = value_range
         self._interpreter = CInterpreter(mode="exact")
+        self._plans: Dict[Tuple[Tuple[str, int], ...], ArgumentPlan] = {}
 
     @property
     def signature(self) -> SignatureInfo:
@@ -76,6 +172,56 @@ class IOExampleGenerator:
     @property
     def function(self) -> FunctionDef:
         return self._function
+
+    def getstate(self) -> object:
+        """The random generator's state (see :meth:`random.Random.getstate`)."""
+        return self._rng.getstate()
+
+    def setstate(self, state: object) -> None:
+        self._rng.setstate(state)
+
+    def plan(self, sizes: Optional[Mapping[str, int]] = None) -> ArgumentPlan:
+        """The argument plan at *sizes* (over the spec's defaults), memoized."""
+        key = tuple(sorted((k, int(v)) for k, v in (sizes or {}).items()))
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._make_plan(dict(key))
+        return plan
+
+    def _make_plan(self, sizes: Mapping[str, int]) -> ArgumentPlan:
+        spec = self._task.spec
+        concrete_sizes = dict(spec.sizes)
+        concrete_sizes.update(sizes)
+        output_name = self._signature.output_argument
+        slots: List[ArgumentSlot] = []
+        for argument in self._signature.arguments:
+            name = argument.name
+            if argument.kind is ArgumentKind.SIZE:
+                slots.append(
+                    ArgumentSlot(name, "size", size=int(concrete_sizes.get(name, 2)))
+                )
+            elif argument.kind is ArgumentKind.SCALAR and not argument.is_pointer:
+                low, high = spec.scalars.get(name, self._value_range)
+                slots.append(ArgumentSlot(name, "scalar", count=1, low=low, high=high))
+            else:
+                shape = spec.resolve_shape(name, concrete_sizes)
+                low, high = self._value_range
+                slots.append(
+                    ArgumentSlot(
+                        name,
+                        "array",
+                        shape=shape,
+                        count=int(np.prod(shape)) if shape else 1,
+                        is_output=argument.kind is ArgumentKind.OUTPUT,
+                        low=low,
+                        high=high,
+                    )
+                )
+        if self._signature.output_kind is OutputKind.RETURN or output_name is None:
+            output_name, output_shape = None, ()
+        else:
+            output_shape = spec.resolve_shape(output_name, concrete_sizes)
+        return ArgumentPlan(concrete_sizes, tuple(slots), output_name, output_shape)
 
     # ------------------------------------------------------------------ #
     # Example generation
@@ -100,93 +246,166 @@ class IOExampleGenerator:
         values: Optional[Mapping[str, Union[int, Sequence[int]]]] = None,
     ) -> IOExample:
         """Generate a single example, optionally with fixed input values."""
-        spec = self._task.spec
-        avoid_zero = avoid_zero or spec.avoid_zero
-        concrete_sizes = dict(spec.sizes)
-        if sizes:
-            concrete_sizes.update({k: int(v) for k, v in sizes.items()})
+        plan = self.plan(sizes)
+        avoid_zero = avoid_zero or self._task.spec.avoid_zero
 
         call_args: Dict[str, Union[int, Fraction, List[Fraction], np.ndarray]] = {}
         recorded_inputs: Dict[str, Union[int, Fraction, np.ndarray]] = {}
 
-        for argument in self._signature.arguments:
-            name = argument.name
-            if argument.kind is ArgumentKind.SIZE:
-                value = concrete_sizes.get(name, 2)
-                call_args[name] = int(value)
-                recorded_inputs[name] = int(value)
-            elif argument.kind is ArgumentKind.SCALAR and not argument.is_pointer:
-                value = self._scalar_value(name, avoid_zero, values)
-                call_args[name] = value
-                recorded_inputs[name] = value
+        for slot in plan.slots:
+            name = slot.name
+            if slot.kind == "size":
+                call_args[name] = recorded_inputs[name] = slot.size
+            elif slot.kind == "scalar":
+                value = self._scalar_value(slot, avoid_zero, values)
+                call_args[name] = recorded_inputs[name] = value
             else:
-                shape = spec.resolve_shape(name, concrete_sizes)
-                array = self._array_value(name, shape, avoid_zero, values)
+                array = self._array_value(slot, avoid_zero, values)
                 call_args[name] = array.reshape(-1).tolist()
-                if argument.kind is ArgumentKind.OUTPUT:
-                    # The output buffer's initial contents are irrelevant to the
-                    # lifted expression; record inputs only for non-outputs.
-                    pass
-                else:
+                # The output buffer's initial contents are irrelevant to the
+                # lifted expression; record inputs only for non-outputs.
+                if not slot.is_output:
                     recorded_inputs[name] = array
 
         result = self._interpreter.run(self._function, call_args)
 
-        output_name = self._signature.output_argument
-        if self._signature.output_kind is OutputKind.RETURN or output_name is None:
-            output: Union[int, Fraction, np.ndarray]
+        output: Union[int, Fraction, np.ndarray]
+        if plan.output_name is None:
             output = result.return_value  # type: ignore[assignment]
-            output_name = None
         else:
-            shape = spec.resolve_shape(output_name, concrete_sizes)
-            flat = np.array(result.array(output_name), dtype=object)
+            flat = np.array(result.array(plan.output_name), dtype=object)
+            shape = plan.output_shape
             output = flat.reshape(shape) if shape else flat.reshape(()).item()
         return IOExample(
             inputs=recorded_inputs,
             output=output,
-            output_name=output_name,
-            sizes=concrete_sizes,
+            output_name=plan.output_name,
+            sizes=dict(plan.sizes),
         )
+
+    # ------------------------------------------------------------------ #
+    # Lane batches (bounded verification)
+    # ------------------------------------------------------------------ #
+    def draw_lanes(
+        self, sizes: Optional[Mapping[str, int]], lanes: Sequence[Lane]
+    ) -> LaneBatch:
+        """Draw the inputs of one example per lane, without running them.
+
+        The generator's RNG is consumed exactly as calling
+        :meth:`generate_one` once per lane would: per lane, in argument
+        order, the random scalars and arrays, including the output buffer's
+        initial contents.  A lane's fixed row supplies every free input in
+        :attr:`ArgumentPlan.free_slots` order.
+        """
+        plan = self.plan(sizes)
+        spec_avoid_zero = self._task.spec.avoid_zero
+        drawn = [slot for slot in plan.slots if slot.kind != "size"]
+        rows = []
+        for fixed, avoid_zero in lanes:
+            avoid_zero = avoid_zero or spec_avoid_zero
+            row: List[int] = []
+            cursor = 0
+            for slot in drawn:
+                if fixed is not None and slot.free:
+                    row.extend(fixed[cursor : cursor + slot.count])
+                    cursor += slot.count
+                else:
+                    row.extend(
+                        self._random_value(slot.low, slot.high, avoid_zero)
+                        for _ in range(slot.count)
+                    )
+            rows.append(row)
+        count = len(rows)
+        table = np.empty((count, sum(slot.count for slot in drawn)), dtype=object)
+        table[:] = rows
+        table = _FRACTIONS(table)
+        columns = np.ascontiguousarray(table.T)
+
+        inputs: Dict[str, np.ndarray] = {}
+        call_args: Dict[str, object] = {}
+        start = 0
+        for slot in plan.slots:
+            if slot.kind == "size":
+                call_args[slot.name] = slot.size
+                inputs[slot.name] = np.full(count, slot.size, dtype=object)
+                continue
+            stop = start + slot.count
+            if slot.kind == "scalar":
+                call_args[slot.name] = columns[start]
+            else:
+                call_args[slot.name] = list(columns[start:stop])
+            if not slot.is_output:
+                inputs[slot.name] = table[:, start:stop].reshape((count,) + slot.shape)
+            start = stop
+        return LaneBatch(plan, count, inputs, call_args)
+
+    def run_lanes(self, batch: LaneBatch) -> np.ndarray:
+        """Run the kernel once over every lane of *batch*.
+
+        Returns the outputs stacked to ``(lanes,) + output shape``.  Raises
+        :class:`~repro.cfront.interpreter.LaneDivergence` when the lanes
+        cannot run in lockstep (see :mod:`repro.cfront.interpreter`).
+        """
+        result = self._interpreter.run(self._function, batch.call_args)
+        plan = batch.plan
+        if plan.output_name is None:
+            outputs = np.empty(batch.lanes, dtype=object)
+            outputs[:] = result.return_value
+            return outputs
+        flat = result.array(plan.output_name)
+        outputs = np.empty((len(flat), batch.lanes), dtype=object)
+        for position, value in enumerate(flat):
+            outputs[position] = value
+        return outputs.T.reshape((batch.lanes,) + plan.output_shape)
 
     # ------------------------------------------------------------------ #
     # Random values
     # ------------------------------------------------------------------ #
     def _scalar_value(
         self,
-        name: str,
+        slot: ArgumentSlot,
         avoid_zero: bool,
         fixed: Optional[Mapping[str, Union[int, Sequence[int]]]],
     ) -> Fraction:
-        if fixed and name in fixed:
-            return Fraction(int(fixed[name]))  # type: ignore[arg-type]
-        low, high = self._task.spec.scalars.get(name, self._value_range)
-        value = self._random_value(low, high, avoid_zero)
-        return Fraction(value)
+        if fixed and slot.name in fixed:
+            return Fraction(int(fixed[slot.name]))  # type: ignore[arg-type]
+        return Fraction(self._random_value(slot.low, slot.high, avoid_zero))
 
     def _array_value(
         self,
-        name: str,
-        shape: Tuple[int, ...],
+        slot: ArgumentSlot,
         avoid_zero: bool,
         fixed: Optional[Mapping[str, Union[int, Sequence[int]]]],
     ) -> np.ndarray:
-        count = int(np.prod(shape)) if shape else 1
-        if fixed and name in fixed:
-            raw = fixed[name]
+        count = slot.count
+        if fixed and slot.name in fixed:
+            raw = fixed[slot.name]
             flat = [Fraction(int(v)) for v in np.asarray(raw).reshape(-1).tolist()]
             if len(flat) != count:
                 raise ValueError(
-                    f"fixed value for {name!r} has {len(flat)} elements, expected {count}"
+                    f"fixed value for {slot.name!r} has {len(flat)} elements, "
+                    f"expected {count}"
                 )
         else:
-            low, high = self._value_range
-            flat = [Fraction(self._random_value(low, high, avoid_zero)) for _ in range(count)]
+            flat = [
+                Fraction(self._random_value(slot.low, slot.high, avoid_zero))
+                for _ in range(count)
+            ]
         array = np.empty(count, dtype=object)
         array[:] = flat
-        return array.reshape(shape) if shape else array.reshape(())
+        return array.reshape(slot.shape) if slot.shape else array.reshape(())
 
     def _random_value(self, low: int, high: int, avoid_zero: bool) -> int:
         value = self._rng.randint(low, high)
         while avoid_zero and value == 0:
             value = self._rng.randint(low, high)
         return value
+
+
+@functools.lru_cache(maxsize=256)
+def _fraction(value: int) -> Fraction:
+    """``Fraction(value)``, shared: Fractions are immutable."""
+    return Fraction(int(value))
+
+
+_FRACTIONS = np.frompyfunc(_fraction, 1, 1)

@@ -282,23 +282,6 @@ def request_digest(request: LiftRequest) -> str:
     return lift_digest(task, build_lifter(request).descriptor())
 
 
-_GIT_SHA: List[Optional[str]] = []
-
-
-def _service_git_sha() -> Optional[str]:
-    """The checkout's HEAD sha for /healthz provenance, memoized.
-
-    Memoized process-wide: the sha cannot change under a running service,
-    and the subprocess probe should not tax every service construction
-    (tests build many).
-    """
-    if not _GIT_SHA:
-        from ..bench.runner import current_git_sha
-
-        _GIT_SHA.append(current_git_sha())
-    return _GIT_SHA[0]
-
-
 def _encode_request(request: LiftRequest) -> str:
     """Journal payload codec: a request as canonical JSON."""
     return json.dumps(request.to_payload(), sort_keys=True)
@@ -355,7 +338,10 @@ class LiftingService:
             max(0, int(max_queue_depth)) if max_queue_depth is not None else None
         )
         self._started_at = time.time()
-        self._git_sha = _service_git_sha()
+        # Imported here: `repro.bench` stays off the lifting stack's imports.
+        from ..bench.runner import current_git_sha
+
+        self._git_sha = current_git_sha()
         # One registry for the whole service: scheduler counters, request
         # admission counters and store gauges all live here, so GET /stats
         # and GET /metrics can never drift apart.

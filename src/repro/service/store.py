@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -47,23 +46,6 @@ from .digest import (
 #: was constructed with limits.  Sweeps scan the object directory, so
 #: running one per write would be quadratic in steady state.
 AUTO_EVICT_EVERY = 32
-
-
-def _git_sha(root: Optional[Path] = None) -> str:
-    """Best-effort git SHA of the repository containing *root* (or the CWD)."""
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=str(root) if root else None,
-            capture_output=True,
-            text=True,
-            timeout=5,
-            check=False,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    sha = completed.stdout.strip()
-    return sha if completed.returncode == 0 and sha else "unknown"
 
 
 @dataclass
@@ -204,8 +186,11 @@ class ResultStore:
         faults.fail_point("store.put")
         path = self._path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
+        # Imported here: `repro.bench` stays off the lifting stack's imports.
+        from ..bench.runner import current_git_sha
+
         merged: Dict[str, object] = {
-            "git_sha": _git_sha(),
+            "git_sha": current_git_sha() or "unknown",
             "created_at": time.time(),
             "elapsed_seconds": report.elapsed_seconds,
             "attempts": report.attempts,

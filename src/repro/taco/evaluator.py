@@ -27,6 +27,13 @@ that barely changes between candidates, so :class:`EvaluationContext` caches
 both: bindings are converted once per (example, mode) and the layout is
 memoized per access pattern.  :meth:`TacoEvaluator.evaluate` remains the
 simple one-shot API and simply runs against a throwaway context.
+
+Bounded verification evaluates one program on many inputs.
+:meth:`TacoEvaluator.evaluate_lanes` does that in a single evaluation: every
+binding is stacked to ``(lanes,) + shape`` and a reserved lane index is
+prepended to the left-hand side and to every access, so each lane is one
+slice of the iteration space.  The lane index is not a TACO identifier and
+only exists inside that call.
 """
 
 from __future__ import annotations
@@ -53,6 +60,10 @@ TensorValue = Union[int, float, Fraction, np.ndarray, Sequence]
 
 #: Arithmetic modes supported by the evaluator.
 MODES = ("float", "exact", "int")
+
+#: The index variable :meth:`TacoEvaluator.evaluate_lanes` prepends to every
+#: access.  It is not a TACO identifier, so no program can use it.
+LANE_INDEX = "<lane>"
 
 
 def _as_array(value: TensorValue, mode: str) -> np.ndarray:
@@ -348,6 +359,24 @@ class TacoEvaluator:
             # whose summation would otherwise warn.
             return self._reduce(program, value, index_order, extents)
 
+    def evaluate_lanes(
+        self,
+        program: TacoProgram,
+        bindings: Mapping[str, np.ndarray],
+        lanes: int,
+        output_shape: Tuple[int, ...],
+    ) -> np.ndarray:
+        """Evaluate *program* once per lane, in a single evaluation.
+
+        Every binding is stacked to ``(lanes,) + shape``; the result is
+        stacked to ``(lanes,) + output_shape``, lane ``k`` holding what
+        :meth:`evaluate` returns for the bindings' ``k``-th slices.
+        """
+        lane_program = TacoProgram(
+            _with_lane_index(program.lhs), _with_lane_index(program.rhs)
+        )
+        return self.evaluate(lane_program, bindings, (lanes,) + tuple(output_shape))
+
     def evaluate_str(
         self,
         source: str,
@@ -448,6 +477,17 @@ class TacoEvaluator:
             return reduced
         result = np.asarray(reduced)
         return result
+
+
+def _with_lane_index(node: Expression) -> Expression:
+    """*node* with :data:`LANE_INDEX` prepended to every tensor access."""
+    if isinstance(node, TensorAccess):
+        return TensorAccess(node.name, (LANE_INDEX,) + node.indices)
+    if isinstance(node, BinaryOp):
+        return BinaryOp(node.op, _with_lane_index(node.left), _with_lane_index(node.right))
+    if isinstance(node, UnaryOp):
+        return UnaryOp(_with_lane_index(node.operand))
+    return node
 
 
 def _exact_divide(left, right):

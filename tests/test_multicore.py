@@ -1,10 +1,11 @@
 """Determinism and lifecycle tests for the process-backed portfolio race.
 
-The PR-10 acceptance suite: the same task and seed produce identical
-`SynthesisReport` programs and winner attribution whether members race on
-threads or processes (for in-budget runs), the first win cancels the
-losers cooperatively across the process boundary, and no child process
-ever outlives the race.
+The same task and seed produce identical `SynthesisReport` programs and
+winner attribution whether members race on threads or processes, on a
+kernel only one member solves; where both members solve, the winner's
+report equals that member's standalone lift whichever member is faster.
+The first win cancels the losers cooperatively across the process
+boundary, and no child process ever outlives the race.
 """
 
 from __future__ import annotations
@@ -45,29 +46,49 @@ def _no_orphans():
 # ---------------------------------------------------------------------- #
 # The determinism suite: threads vs. processes, same outcome
 # ---------------------------------------------------------------------- #
+#: Only STAGG_TD solves this kernel (STAGG_BU fails after one attempt), so
+#: the race's winner does not depend on which member is faster and the two
+#: backends must agree exactly.
+STRICT_KERNEL = "llama.rmsnorm_sum_squares"
+#: Both members solve these kernels within milliseconds, so which one wins
+#: depends on speed; only speed-independent properties are asserted.
+BOTH_SOLVE = ["darknet.copy_cpu", "blend.add_pixels", "simpl_array.sum_three"]
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "kernel", ["darknet.copy_cpu", "blend.add_pixels", "simpl_array.sum_three"]
-    )
-    def test_portfolio_program_matches_threads(self, kernel):
-        threaded = _lift(PORTFOLIO, "threads", kernel)
-        processed = _lift(PORTFOLIO, "processes", kernel)
+    def test_portfolio_program_matches_threads(self):
+        threaded = _lift(PORTFOLIO, "threads", STRICT_KERNEL)
+        processed = _lift(PORTFOLIO, "processes", STRICT_KERNEL)
         assert threaded.success and processed.success
         assert str(processed.lifted_program) == str(threaded.lifted_program)
         assert processed.attempts == threaded.attempts
 
     def test_portfolio_winner_attribution_matches_threads(self):
-        threaded = _lift(PORTFOLIO, "threads")
-        processed = _lift(PORTFOLIO, "processes")
+        threaded = _lift(PORTFOLIO, "threads", STRICT_KERNEL)
+        processed = _lift(PORTFOLIO, "processes", STRICT_KERNEL)
         thread_race = threaded.details["portfolio"]
         process_race = processed.details["portfolio"]
-        assert process_race["winner"] == thread_race["winner"]
+        assert process_race["winner"] == thread_race["winner"] == "STAGG_TD"
         assert [m["name"] for m in process_race["members"]] == [
             m["name"] for m in thread_race["members"]
         ]
         assert [m["success"] for m in process_race["members"]] == [
             m["success"] for m in thread_race["members"]
         ]
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("kernel", BOTH_SOLVE)
+    def test_winner_matches_its_standalone_lift(self, kernel, backend):
+        report = _lift(PORTFOLIO, backend, kernel)
+        race = report.details["portfolio"]
+        assert report.success and race["winner"] is not None
+        alone = _lift(race["winner"], "threads", kernel)
+        assert str(report.lifted_program) == str(alone.lifted_program)
+        assert report.attempts == alone.attempts
+        for member in race["members"]:
+            if member["name"] != race["winner"]:
+                # A loser that was not cancelled ran to its own solution.
+                assert member["cancelled"] or member["success"]
 
     def test_llm_baseline_matches_threads(self):
         # The sharded-validation path: the LLM baseline partitions its

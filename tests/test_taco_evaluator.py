@@ -103,6 +103,40 @@ class TestExactMode:
         assert list(out) == [Fraction(5)] * 3
 
 
+class TestLaneEvaluation:
+    @pytest.mark.parametrize(
+        "source, shapes, output_shape",
+        [
+            ("a(i) = b(i,j) * c(j)", {"b": (2, 3), "c": (3,)}, (2,)),
+            ("a = b(i) * c(i)", {"b": (3,), "c": (3,)}, ()),
+            ("a(i,j) = b(i) * s - c(j) / s", {"b": (2,), "c": (3,), "s": ()}, (2, 3)),
+            ("a(i) = 3 - b(i)", {"b": (2,)}, (2,)),
+            ("a(i) = 5", {}, (2,)),
+        ],
+    )
+    def test_lanes_equal_per_lane_evaluations(self, source, shapes, output_shape):
+        from repro.taco import parse_program
+
+        lanes = 4
+        rng = np.random.default_rng(7)
+        stacked = {}
+        for name, shape in shapes.items():
+            values = [Fraction(int(v)) for v in rng.integers(1, 6, size=(lanes,) + shape).flat]
+            stacked[name] = np.array(values, dtype=object).reshape((lanes,) + shape)
+        program = parse_program(source)
+        evaluator = TacoEvaluator(mode="exact")
+        batched = evaluator.evaluate_lanes(program, stacked, lanes, output_shape)
+        assert batched.shape == (lanes,) + output_shape
+        for lane in range(lanes):
+            alone = evaluator.evaluate(
+                program,
+                {name: value[lane, ...] for name, value in stacked.items()},
+                output_shape=output_shape,
+            )
+            assert np.array_equal(np.asarray(alone, dtype=object), batched[lane, ...])
+        assert "<lane>" not in str(program)
+
+
 class TestErrorHandling:
     def test_missing_binding(self):
         with pytest.raises(TacoTypeError):
