@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 import time
-import warnings
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from ..grammars import ContextFreeGrammar, GrammarError, NonTerminal, Production, Symbol
 from ..taco import TacoProgram
+from .events import LiftEvent
 from .validator import ValidationResult
 from .verifier import VerificationResult
 
@@ -27,75 +25,6 @@ CandidateChecker = Callable[
 #: ``search_progress`` notifications.  Canonical definition (re-exported by
 #: :mod:`repro.lifting.observer`); a power of two keeps the modulo cheap.
 SEARCH_PROGRESS_INTERVAL = 512
-
-
-#: Broken observers mapped to the set of event names they already failed
-#: on.  A WeakKeyDictionary so a long-lived process doesn't pin every
-#: broken observer it ever saw; each *(observer, event)* pair is warned
-#: about at most once, so an observer that breaks on a second, different
-#: event is still diagnosable.  The lock serialises check-then-add:
-#: portfolio members share one observer across racing threads.
-_WARNED_OBSERVERS = weakref.WeakKeyDictionary()
-_WARNED_OBSERVERS_LOCK = threading.Lock()
-
-
-def safe_notify(observer, method: str, *args) -> None:
-    """Invoke ``observer.method(*args)``, swallowing observer errors.
-
-    The single implementation of the "observers must never abort a lift"
-    contract (re-exported by :mod:`repro.lifting.observer`).  Duck-typed so
-    the core package never imports :mod:`repro.lifting` at module scope;
-    ``observer=None`` is the common fast path and returns immediately.
-
-    Swallowed exceptions are not fully silent: the first failure of each
-    *(observer, event)* pair emits a :class:`RuntimeWarning` naming the
-    event, so a broken observer is diagnosable without ever being able to
-    abort a lift.
-    """
-    if observer is None:
-        return
-    try:
-        getattr(observer, method)(*args)
-    except Exception as error:  # noqa: BLE001 - observers are untrusted plugins
-        try:
-            with _WARNED_OBSERVERS_LOCK:
-                failed_events = _WARNED_OBSERVERS.get(observer)
-                already_warned = failed_events is not None and method in failed_events
-                if not already_warned:
-                    if failed_events is None:
-                        failed_events = set()
-                        _WARNED_OBSERVERS[observer] = failed_events
-                    failed_events.add(method)
-        except TypeError:  # not weak-referenceable: warn on every failure
-            already_warned = False
-        if not already_warned:
-            try:
-                warnings.warn(
-                    f"lift observer {type(observer).__name__}.{method} raised "
-                    f"{type(error).__name__}: {error} (observer exceptions never "
-                    f"abort a lift; further errors from this observer are "
-                    f"suppressed silently)",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            except Exception:  # noqa: BLE001 - warnings-as-errors must not
-                pass  # break the "observers never abort a lift" contract
-
-
-def notify_search_progress(observer, nodes_expanded: int, candidates_tried: int,
-                           elapsed_seconds: float = 0.0,
-                           duplicates_pruned: int = 0) -> None:
-    """Heartbeat an observer from inside a search loop, swallowing errors.
-
-    ``nodes_per_sec`` is derived here (not in the search loop) so every
-    observer sees the same unit economics without each search repeating
-    the division.
-    """
-    nodes_per_sec = nodes_expanded / elapsed_seconds if elapsed_seconds > 0 else 0.0
-    safe_notify(
-        observer, "search_progress",
-        nodes_expanded, candidates_tried, nodes_per_sec, duplicates_pruned,
-    )
 
 
 @dataclass(frozen=True)
@@ -148,6 +77,22 @@ class SearchOutcome:
     elapsed_seconds: float = 0.0
     timed_out: bool = False
     exhausted: bool = False
+
+    def heartbeat(self, elapsed_seconds: float) -> LiftEvent:
+        """The ``search_progress`` event for the search so far.
+
+        ``nodes_per_sec`` is derived here (not in the search loops) so
+        every observer sees the same unit economics.
+        """
+        nodes_per_sec = (
+            self.nodes_expanded / elapsed_seconds if elapsed_seconds > 0 else 0.0
+        )
+        return LiftEvent("search_progress", attrs={
+            "nodes_expanded": self.nodes_expanded,
+            "candidates_tried": self.candidates_tried,
+            "nodes_per_sec": nodes_per_sec,
+            "duplicates_pruned": self.duplicates_pruned,
+        })
 
 
 #: Non-terminal names whose nesting defines the expression depth measure of

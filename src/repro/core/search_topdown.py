@@ -22,6 +22,7 @@ from ..grammars import ProbabilisticGrammar
 from ..taco.errors import TacoError
 from ..taco.printer import from_tokens
 from .costs import TopDownCostModel
+from .events import safe_notify
 from .penalties import PenaltyEvaluator
 from .search import (
     CandidateChecker,
@@ -32,7 +33,6 @@ from .search import (
     SententialForm,
     VisitedForms,
     expansion_table,
-    notify_search_progress,
 )
 
 
@@ -82,10 +82,7 @@ class TopDownSearch:
             _priority, (form, accumulated_cost) = queue.pop()
             outcome.nodes_expanded += 1
             if progress_interval and outcome.nodes_expanded % progress_interval == 0:
-                notify_search_progress(
-                    observer, outcome.nodes_expanded, outcome.candidates_tried,
-                    deadline.elapsed(), outcome.duplicates_pruned,
-                )
+                safe_notify(observer, outcome.heartbeat(deadline.elapsed()))
 
             if form.depth() > self._limits.max_depth:
                 continue

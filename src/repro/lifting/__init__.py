@@ -11,8 +11,9 @@ methods:
   ``descriptor()`` for the service's content-addressed store digest.
 * :class:`Budget` — a cooperative deadline + cancellation token threaded
   through the oracle, the searches and the validator.
-* :class:`LiftObserver` — progress events (stage start/finish, search
-  heartbeats) powering ``repro lift -v`` and the service's live status.
+* :class:`LiftObserver` / :class:`LiftEvent` — one progress-event stream
+  (stage start/finish, search heartbeats, race lifecycle) powering
+  ``repro lift -v``, traces and the service's live status.
 * :class:`PipelineState` + the stage objects in :mod:`.pipeline` — the
   STAGG pipeline as explicit, resumable stages with per-stage timings.
 * :mod:`.checking` — the shared validate-then-verify acceptance check.
@@ -39,10 +40,12 @@ from .executor import (
 )
 from .observer import (
     CompositeObserver,
+    LiftEvent,
     LiftObserver,
     PrintObserver,
     RecordingObserver,
     SEARCH_PROGRESS_INTERVAL,
+    bind,
     safe_notify,
 )
 from .pipeline import (
@@ -119,10 +122,12 @@ __all__ = [
     "Budget",
     "BudgetExceeded",
     "CompositeObserver",
+    "LiftEvent",
     "LiftObserver",
     "PrintObserver",
     "RecordingObserver",
     "SEARCH_PROGRESS_INTERVAL",
+    "bind",
     "safe_notify",
     "TaskHarness",
     "build_harness",

@@ -25,7 +25,7 @@ from ..core.verifier import (
 )
 from ..taco import TacoProgram
 from .budget import Budget
-from .observer import LiftObserver, safe_notify
+from .observer import LiftEvent, LiftObserver, safe_notify
 
 #: The checker signature shared by the searches and the baselines: validate a
 #: complete template against the I/O examples and, if validation succeeds,
@@ -113,7 +113,9 @@ def check_candidate(
         return False, validation, None
     verification = verifier.verify(validation.concrete_program)
     if verification.equivalent:
-        safe_notify(observer, "candidate_accepted", str(validation.concrete_program))
+        safe_notify(observer, LiftEvent(
+            "candidate_accepted", attrs={"program": str(validation.concrete_program)}
+        ))
     return bool(verification.equivalent), validation, verification
 
 

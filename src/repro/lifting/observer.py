@@ -1,227 +1,163 @@
 """Observation hooks for lifting runs.
 
-A :class:`LiftObserver` receives coarse-grained progress events from the
-pipeline (stage start/finish), the searches (periodic expansion counts) and
-the checker (successful validations).  Observers power ``repro lift -v`` and
-the service's live ``GET /status`` stage field without the pipeline knowing
-who is watching.
+Every progress report of a lift is one :class:`LiftEvent` — a frozen,
+picklable record ``(name, task, member, ts, attrs)`` — and a
+:class:`LiftObserver` has exactly one method, :meth:`~LiftObserver.emit`,
+that receives it.  The pipeline (stage start/finish/skip), the searches
+(periodic expansion counts), the checker (accepted candidates) and the
+portfolio race (member lifecycle) all emit on the same stream, which
+powers ``repro lift -v``, traces and the service's live ``GET /status``
+stage field without the emitters knowing who is watching.
 
 Observer contract
 -----------------
 
-* Callbacks run on the lifting thread and must be cheap — they sit on the
+* ``emit`` runs on the emitting thread and must be cheap — it sits on the
   search hot path (albeit only every ``SearchLimits.progress_interval``
-  expansions, :data:`SEARCH_PROGRESS_INTERVAL` by default).
-* Observer exceptions never abort a lift: every notification goes through
+  expansions, :data:`SEARCH_PROGRESS_INTERVAL` by default).  Portfolio
+  members emit from racing threads, so observers that aggregate must lock.
+* Observer exceptions never abort a lift: every event goes through
   :func:`safe_notify` (canonical implementation in
-  :mod:`repro.core.search`), which swallows them.
+  :mod:`repro.core.events`), which swallows them.
+* An emitter that does not know the task or the racing member leaves
+  ``task`` / ``member`` empty; :func:`bind` wraps an observer so they are
+  filled in (the pipeline binds the task, each race loop the member).
+  Process-raced members emit in the child and the race forwards their
+  events to the parent, so every backend reports the same stream.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import Callable, List, Optional
 
-from ..core.search import SEARCH_PROGRESS_INTERVAL, safe_notify
+from ..core.events import LiftEvent, safe_notify
+from ..core.search import SEARCH_PROGRESS_INTERVAL
 
 __all__ = [
     "CompositeObserver",
+    "LiftEvent",
     "LiftObserver",
     "PrintObserver",
     "RecordingObserver",
     "SEARCH_PROGRESS_INTERVAL",
+    "bind",
     "safe_notify",
-    "tag_member",
-    "tagged_member",
 ]
 
 
-def tag_member(task_name: str, member: str) -> str:
-    """Tag a stage event's task name with the racing member emitting it.
-
-    Portfolio members share one observer; stage events carry the member as
-    ``task[member]`` so interleaved progress stays attributable.  This is
-    the *only* definition of the tag format — consumers recover the member
-    with :func:`tagged_member`.
-    """
-    return f"{task_name}[{member}]"
-
-
-def tagged_member(task_name: str) -> str:
-    """The member a :func:`tag_member`-tagged task name carries ('' if none)."""
-    if task_name.endswith("]") and "[" in task_name:
-        return task_name[task_name.rfind("[") + 1 : -1]
-    return ""
-
-
 class LiftObserver:
-    """Base observer: every callback is a no-op; override what you need."""
+    """Base observer: :meth:`emit` is a no-op; override it."""
 
-    def stage_started(self, stage: str, task_name: str) -> None:
-        """A pipeline stage began executing."""
+    def emit(self, event: LiftEvent) -> None:
+        """Receive one event of the lift being watched."""
 
-    def stage_finished(self, stage: str, task_name: str, seconds: float) -> None:
-        """A pipeline stage completed (with its wall-clock duration)."""
 
-    def stage_skipped(self, stage: str, task_name: str) -> None:
-        """A stage was skipped because its artifacts were already populated."""
+class _Bound(LiftObserver):
+    """Fill an event's empty ``task`` / ``member`` before forwarding it."""
 
-    def search_progress(self, nodes_expanded: int, candidates_tried: int,
-                        nodes_per_sec: float = 0.0,
-                        duplicates_pruned: int = 0) -> None:
-        """Periodic heartbeat from inside a running search."""
+    def __init__(self, parent: LiftObserver, task: str, member: str) -> None:
+        self._parent = parent
+        self._task = task
+        self._member = member
 
-    def candidate_accepted(self, program: str) -> None:
-        """A candidate passed validation and bounded verification."""
+    def emit(self, event: LiftEvent) -> None:
+        if (self._task and not event.task) or (self._member and not event.member):
+            event = replace(
+                event,
+                task=event.task or self._task,
+                member=event.member or self._member,
+            )
+        safe_notify(self._parent, event)
 
-    def retrieval_seeded(self, task_name: str, neighbors: int, hit: bool) -> None:
-        """The seed stage finished: how many neighbors were retrieved and
-        whether one passed tier-0 validate-then-verify (skipping search)."""
 
-    def validator_stats(self, candidates: int, screen_rejects: int,
-                        exact_checks: int, seconds: float) -> None:
-        """Tier counters from the validator after a search completes.
+def bind(
+    observer: Optional[LiftObserver], *, task: str = "", member: str = ""
+) -> Optional[LiftObserver]:
+    """View *observer* with *task* / *member* filled into events that lack them.
 
-        Emitted once per search stage (cold path): total candidates seen,
-        how many the float screen rejected, how many reached the exact
-        tier, and the search's wall clock — candidates/sec is derivable.
-        """
+    ``bind(None, ...)`` is ``None``, so an unobserved lift pays nothing.
+    """
+    if observer is None:
+        return None
+    return _Bound(observer, task, member)
 
-    # -------------------------------------------------------------- #
-    # Portfolio events (see repro.portfolio): callbacks may arrive
-    # from member threads, so observers that aggregate must lock.
-    # -------------------------------------------------------------- #
-    def member_started(self, member: str, task_name: str) -> None:
-        """A portfolio member began racing the task."""
 
-    def member_finished(
-        self, member: str, task_name: str, success: bool, seconds: float
-    ) -> None:
-        """A portfolio member returned (win, loss or timeout)."""
-
-    def member_cancelled(self, member: str, task_name: str) -> None:
-        """A racing member was cancelled because another member won."""
-
-    def portfolio_winner(self, member: str, task_name: str) -> None:
-        """The portfolio committed to *member*'s verified program."""
+def _print_line(event: LiftEvent) -> Optional[str]:
+    """The ``repro lift -v`` line for one event (None: print nothing)."""
+    name, attrs, task = event.name, event.attrs, event.task
+    # Racing members' stage lines carry the member, so interleaved
+    # progress stays attributable.
+    who = f"{task}[{event.member}]" if event.member else task
+    if name == "stage_started":
+        return f"[{who}] stage {attrs['stage']} ..."
+    if name == "stage_finished":
+        return f"[{who}] stage {attrs['stage']} done in {attrs['seconds']:.3f}s"
+    if name == "stage_skipped":
+        return f"[{who}] stage {attrs['stage']} skipped (resumed from state)"
+    if name == "search_progress":
+        rate = attrs["nodes_per_sec"]
+        rate_text = f", {rate:.0f} nodes/s" if rate else ""
+        return (
+            f"  search: {attrs['nodes_expanded']} nodes expanded, "
+            f"{attrs['candidates_tried']} candidates tried{rate_text}"
+        )
+    if name == "candidate_accepted":
+        return f"  accepted: {attrs['program']}"
+    if name == "retrieval_seeded":
+        verdict = "tier-0 hit (search skipped)" if attrs["hit"] else "no tier-0 hit"
+        return f"[{who}] seeded from {attrs['neighbors']} neighbor(s): {verdict}"
+    if name == "validator_stats":
+        candidates, seconds = attrs["candidates"], attrs["seconds"]
+        rate_text = f" ({candidates / seconds:.0f}/s)" if seconds > 0 else ""
+        return (
+            f"  validator: {candidates} candidates{rate_text}, "
+            f"{attrs['screen_rejects']} screened out, {attrs['exact_checks']} exact checks"
+        )
+    member = event.member
+    if name == "member_started":
+        return f"[{task}] member {member} started"
+    if name == "member_finished":
+        outcome = "solved" if attrs["success"] else "no solution"
+        return f"[{task}] member {member}: {outcome} in {attrs['seconds']:.3f}s"
+    if name == "member_cancelled":
+        return f"[{task}] member {member} cancelled (another member won)"
+    if name == "portfolio_winner":
+        return f"[{task}] winner: {member}"
+    return None
 
 
 class PrintObserver(LiftObserver):
     """Human-readable progress lines (what ``repro lift -v`` attaches)."""
 
-    def __init__(self, emit: Optional[Callable[[str], None]] = None) -> None:
-        self._emit = emit if emit is not None else print
+    def __init__(self, write: Optional[Callable[[str], None]] = None) -> None:
+        self._write = write if write is not None else print
 
-    def stage_started(self, stage: str, task_name: str) -> None:
-        self._emit(f"[{task_name}] stage {stage} ...")
-
-    def stage_finished(self, stage: str, task_name: str, seconds: float) -> None:
-        self._emit(f"[{task_name}] stage {stage} done in {seconds:.3f}s")
-
-    def stage_skipped(self, stage: str, task_name: str) -> None:
-        self._emit(f"[{task_name}] stage {stage} skipped (resumed from state)")
-
-    def search_progress(self, nodes_expanded: int, candidates_tried: int,
-                        nodes_per_sec: float = 0.0,
-                        duplicates_pruned: int = 0) -> None:
-        rate = f", {nodes_per_sec:.0f} nodes/s" if nodes_per_sec else ""
-        self._emit(
-            f"  search: {nodes_expanded} nodes expanded, "
-            f"{candidates_tried} candidates tried{rate}"
-        )
-
-    def candidate_accepted(self, program: str) -> None:
-        self._emit(f"  accepted: {program}")
-
-    def retrieval_seeded(self, task_name: str, neighbors: int, hit: bool) -> None:
-        verdict = "tier-0 hit (search skipped)" if hit else "no tier-0 hit"
-        self._emit(f"[{task_name}] seeded from {neighbors} neighbor(s): {verdict}")
-
-    def validator_stats(self, candidates: int, screen_rejects: int,
-                        exact_checks: int, seconds: float) -> None:
-        rate = f" ({candidates / seconds:.0f}/s)" if seconds > 0 else ""
-        self._emit(
-            f"  validator: {candidates} candidates{rate}, "
-            f"{screen_rejects} screened out, {exact_checks} exact checks"
-        )
-
-    def member_started(self, member: str, task_name: str) -> None:
-        self._emit(f"[{task_name}] member {member} started")
-
-    def member_finished(
-        self, member: str, task_name: str, success: bool, seconds: float
-    ) -> None:
-        outcome = "solved" if success else "no solution"
-        self._emit(f"[{task_name}] member {member}: {outcome} in {seconds:.3f}s")
-
-    def member_cancelled(self, member: str, task_name: str) -> None:
-        self._emit(f"[{task_name}] member {member} cancelled (another member won)")
-
-    def portfolio_winner(self, member: str, task_name: str) -> None:
-        self._emit(f"[{task_name}] winner: {member}")
+    def emit(self, event: LiftEvent) -> None:
+        line = _print_line(event)
+        if line is not None:
+            self._write(line)
 
 
 class RecordingObserver(LiftObserver):
-    """Collects every event as a tuple (used by tests and diagnostics).
+    """Collects every event (used by tests and diagnostics).
 
     Appends are serialized: portfolio member events arrive from racing
-    threads, and a plain list mutated concurrently could drop events.
+    threads.
     """
 
     def __init__(self) -> None:
-        self.events: List[tuple] = []
+        self.events: List[LiftEvent] = []
         self._lock = threading.Lock()
 
-    def _record(self, event: tuple) -> None:
+    def emit(self, event: LiftEvent) -> None:
         with self._lock:
             self.events.append(event)
 
-    def stage_started(self, stage: str, task_name: str) -> None:
-        self._record(("stage_started", stage, task_name))
-
-    def stage_finished(self, stage: str, task_name: str, seconds: float) -> None:
-        self._record(("stage_finished", stage, task_name, seconds))
-
-    def stage_skipped(self, stage: str, task_name: str) -> None:
-        self._record(("stage_skipped", stage, task_name))
-
-    def search_progress(self, nodes_expanded: int, candidates_tried: int,
-                        nodes_per_sec: float = 0.0,
-                        duplicates_pruned: int = 0) -> None:
-        self._record((
-            "search_progress", nodes_expanded, candidates_tried,
-            nodes_per_sec, duplicates_pruned,
-        ))
-
-    def candidate_accepted(self, program: str) -> None:
-        self._record(("candidate_accepted", program))
-
-    def retrieval_seeded(self, task_name: str, neighbors: int, hit: bool) -> None:
-        self._record(("retrieval_seeded", task_name, neighbors, hit))
-
-    def validator_stats(self, candidates: int, screen_rejects: int,
-                        exact_checks: int, seconds: float) -> None:
-        self._record((
-            "validator_stats", candidates, screen_rejects, exact_checks, seconds,
-        ))
-
-    def member_started(self, member: str, task_name: str) -> None:
-        self._record(("member_started", member, task_name))
-
-    def member_finished(
-        self, member: str, task_name: str, success: bool, seconds: float
-    ) -> None:
-        self._record(("member_finished", member, task_name, success, seconds))
-
-    def member_cancelled(self, member: str, task_name: str) -> None:
-        self._record(("member_cancelled", member, task_name))
-
-    def portfolio_winner(self, member: str, task_name: str) -> None:
-        self._record(("portfolio_winner", member, task_name))
-
     def stages(self, kind: str = "stage_finished") -> List[str]:
         """The stage names seen for one event kind, in order."""
-        return [event[1] for event in self.events if event[0] == kind]
+        return [event.attrs["stage"] for event in self.events if event.name == kind]
 
 
 class CompositeObserver(LiftObserver):
@@ -241,49 +177,6 @@ class CompositeObserver(LiftObserver):
     def children(self) -> tuple:
         return self._children
 
-    def _fan_out(self, method: str, *args) -> None:
+    def emit(self, event: LiftEvent) -> None:
         for child in self._children:
-            safe_notify(child, method, *args)
-
-    def stage_started(self, stage: str, task_name: str) -> None:
-        self._fan_out("stage_started", stage, task_name)
-
-    def stage_finished(self, stage: str, task_name: str, seconds: float) -> None:
-        self._fan_out("stage_finished", stage, task_name, seconds)
-
-    def stage_skipped(self, stage: str, task_name: str) -> None:
-        self._fan_out("stage_skipped", stage, task_name)
-
-    def search_progress(self, nodes_expanded: int, candidates_tried: int,
-                        nodes_per_sec: float = 0.0,
-                        duplicates_pruned: int = 0) -> None:
-        self._fan_out(
-            "search_progress", nodes_expanded, candidates_tried,
-            nodes_per_sec, duplicates_pruned,
-        )
-
-    def candidate_accepted(self, program: str) -> None:
-        self._fan_out("candidate_accepted", program)
-
-    def retrieval_seeded(self, task_name: str, neighbors: int, hit: bool) -> None:
-        self._fan_out("retrieval_seeded", task_name, neighbors, hit)
-
-    def validator_stats(self, candidates: int, screen_rejects: int,
-                        exact_checks: int, seconds: float) -> None:
-        self._fan_out(
-            "validator_stats", candidates, screen_rejects, exact_checks, seconds,
-        )
-
-    def member_started(self, member: str, task_name: str) -> None:
-        self._fan_out("member_started", member, task_name)
-
-    def member_finished(
-        self, member: str, task_name: str, success: bool, seconds: float
-    ) -> None:
-        self._fan_out("member_finished", member, task_name, success, seconds)
-
-    def member_cancelled(self, member: str, task_name: str) -> None:
-        self._fan_out("member_cancelled", member, task_name)
-
-    def portfolio_winner(self, member: str, task_name: str) -> None:
-        self._fan_out("portfolio_winner", member, task_name)
+            safe_notify(child, event)

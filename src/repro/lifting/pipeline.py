@@ -53,7 +53,7 @@ from ..cfront.analysis import analyze_signature
 from ..llm.oracle import LiftingQuery, LLMOracle, OracleResponse
 from .budget import Budget
 from .checking import build_check, build_harness
-from .observer import LiftObserver, safe_notify
+from .observer import LiftEvent, LiftObserver, bind, safe_notify
 
 #: The canonical stage order (also the key order of ``stage_timings``).
 STAGE_NAMES = ("oracle", "templatize", "dimension", "grammar", "search")
@@ -394,11 +394,12 @@ class SearchStage(Stage):
             # Cold path (once per search): surface the validator's tier
             # counters so traces capture candidates/sec unit economics.
             stats = harness.validator.stats
-            safe_notify(
-                observer, "validator_stats",
-                stats.candidates, stats.screen_rejects, stats.exact_checks,
-                state.outcome.elapsed_seconds,
-            )
+            safe_notify(observer, LiftEvent("validator_stats", attrs={
+                "candidates": stats.candidates,
+                "screen_rejects": stats.screen_rejects,
+                "exact_checks": stats.exact_checks,
+                "seconds": state.outcome.elapsed_seconds,
+            }))
 
 
 #: The canonical stage sequence (stateless stage objects, shared freely).
@@ -443,11 +444,13 @@ class StaggPipeline:
         expires at a stage boundary.
         """
         timings = report.details.setdefault("stage_timings", {})
+        observer = bind(observer, task=state.task.name)
         for stage in self.stages:
+            stage_attrs = {"stage": stage.name}
             if stage.populated(state):
                 timings.setdefault(stage.name, 0.0)
                 stage.annotate(state, report)
-                safe_notify(observer, "stage_skipped", stage.name, state.task.name)
+                safe_notify(observer, LiftEvent("stage_skipped", attrs=stage_attrs))
                 continue
             if state.outcome is not None:
                 # A tier-0 seed hit already produced the outcome; the
@@ -455,15 +458,17 @@ class StaggPipeline:
                 # so they are skipped without annotating (annotations read
                 # artifacts this run never built).
                 timings.setdefault(stage.name, 0.0)
-                safe_notify(observer, "stage_skipped", stage.name, state.task.name)
+                safe_notify(observer, LiftEvent("stage_skipped", attrs=stage_attrs))
                 continue
             if budget is not None:
                 budget.check()
-            safe_notify(observer, "stage_started", stage.name, state.task.name)
+            safe_notify(observer, LiftEvent("stage_started", attrs=stage_attrs))
             started = time.monotonic()
             stage.run(self, state, budget, observer)
             elapsed = time.monotonic() - started
             timings[stage.name] = elapsed
             stage.annotate(state, report)
-            safe_notify(observer, "stage_finished", stage.name, state.task.name, elapsed)
+            safe_notify(observer, LiftEvent(
+                "stage_finished", attrs={"stage": stage.name, "seconds": elapsed}
+            ))
         return state.outcome

@@ -5,14 +5,13 @@ one whole line per :func:`os.write`-sized ``write`` call on an append
 handle, the same crash-tolerant discipline as the fault log.
 
 :class:`TracingObserver` sits on the ``LiftObserver`` seam and turns a
-lift into a span tree: a root ``lift`` span, one span per pipeline
-stage, one span per portfolio member (stages nest under the member that
-ran them), and point events for search heartbeats, accepted candidates,
-validator tier counters, cancellations and the portfolio winner.
-Portfolio members run on their own threads, so the observer keeps its
-open-span stack in a :class:`threading.local` — a stage started on
-member thread *T* nests under the member span *T* pushed, with no
-member-name bookkeeping at all.
+lift's event stream into a span tree: a root ``lift`` span, one span per
+pipeline stage, one span per portfolio member (stages nest under the
+member that ran them), and point events for search heartbeats, accepted
+candidates, validator tier counters, cancellations and the portfolio
+winner.  Every event names its member, so open spans are keyed by
+``(member, span name)`` whichever thread or process emitted them, and
+span times come from the events' own timestamps.
 
 Module-level arming mirrors :mod:`repro.service.faults`: a process-wide
 writer armed via :func:`configure` (or the ``REPRO_TRACE`` environment
@@ -27,9 +26,9 @@ import threading
 import time
 import uuid
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
-from ..lifting.observer import LiftObserver
+from ..lifting.observer import LiftEvent, LiftObserver
 from .schema import AttrValue, EventRecord, SpanRecord, TraceRecord, dump_record
 
 __all__ = [
@@ -115,12 +114,16 @@ class _OpenSpan:
         self.attrs = attrs
 
 
+#: Point events whose trace record also names the task.
+_TASK_TAGGED_EVENTS = frozenset({"retrieval_seeded", "member_cancelled", "portfolio_winner"})
+
+
 class TracingObserver(LiftObserver):
-    """Turn ``LiftObserver`` events into a span tree on a trace file.
+    """Turn a lift's events into a span tree on a trace file.
 
     One instance traces one lift.  Call :meth:`close` when the lift
-    finishes — it flushes any still-open spans (a cancelled member's
-    stage never sees ``stage_finished``) and writes the root span.
+    finishes — it flushes any still-open spans (a stage cut short never
+    sees ``stage_finished``) and writes the root span.
     """
 
     def __init__(self, writer: TraceWriter, task: str = "",
@@ -132,52 +135,57 @@ class TracingObserver(LiftObserver):
         self._parent_id = parent_id
         self._task = task
         self._start = time.time()
-        self._local = threading.local()
         self._lock = threading.Lock()
-        self._open: Dict[str, _OpenSpan] = {}
+        #: Open spans keyed by (member, span name), in opening order.
+        self._open: Dict[Tuple[str, str], _OpenSpan] = {}
         self._closed = False
 
-    # -- span-stack plumbing ------------------------------------------------
+    # -- span plumbing ------------------------------------------------------
 
-    def _stack(self) -> List[_OpenSpan]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
+    def _parent_of(self, event: LiftEvent) -> str:
+        """The open span of the event's member, or the root."""
+        member_span = self._open.get((event.member, f"member:{event.member}"))
+        return member_span.span_id if member_span is not None else self.root_span_id
 
-    def _current_span_id(self) -> str:
-        stack = self._stack()
-        return stack[-1].span_id if stack else self.root_span_id
+    def _innermost(self, member: str) -> str:
+        """The innermost open span of *member*, or the root."""
+        for (owner, _name), span in reversed(self._open.items()):
+            if owner == member:
+                return span.span_id
+        return self.root_span_id
 
-    def _push(self, name: str, **attrs: object) -> _OpenSpan:
-        span = _OpenSpan(
-            span_id=_new_id(),
-            parent_id=self._current_span_id(),
-            name=name,
-            start=time.time(),
-            attrs=_clean_attrs(attrs),
-        )
-        self._stack().append(span)
+    def _span_attrs(self, event: LiftEvent, **attrs: object) -> Dict[str, AttrValue]:
+        attrs["task"] = event.task
+        if event.member:
+            attrs["member"] = event.member
+        return _clean_attrs(attrs)
+
+    def _open_span(self, event: LiftEvent, name: str) -> None:
         with self._lock:
-            self._open[span.span_id] = span
-        return span
+            self._open[(event.member, name)] = _OpenSpan(
+                span_id=_new_id(), parent_id=self._parent_of(event), name=name,
+                start=event.ts, attrs=self._span_attrs(event),
+            )
 
-    def _pop(self, name: str, **attrs: object) -> None:
-        stack = self._stack()
-        span = None
-        # Normally the span we are closing is on top of this thread's
-        # stack; scan down to stay robust to a missed finish in between.
-        for index in range(len(stack) - 1, -1, -1):
-            if stack[index].name == name:
-                span = stack.pop(index)
-                break
-        if span is None:
-            return
+    def _close_spans(self, event: LiftEvent, name: str, **attrs: object) -> None:
+        """Close span *name* of the event's member, with its end attrs.
+
+        A finished member also closes whatever it left open (marked
+        ``unclosed``), so later events about it land on the root.
+        """
         with self._lock:
-            self._open.pop(span.span_id, None)
-        span.attrs.update(_clean_attrs(attrs))
-        self._write_span(span, end=time.time())
+            keys = [
+                key for key in self._open
+                if key == (event.member, name)
+                or (name.startswith("member:") and key[0] == event.member)
+            ]
+            spans = [self._open.pop(key) for key in keys]
+        for span in spans:
+            if span.name == name:
+                span.attrs.update(_clean_attrs(attrs))
+            else:
+                span.attrs["unclosed"] = True
+            self._write_span(span, end=event.ts)
 
     def _write_span(self, span: _OpenSpan, end: float) -> None:
         self._writer.write(SpanRecord(
@@ -186,77 +194,46 @@ class TracingObserver(LiftObserver):
             start=span.start, end=end, attrs=span.attrs,
         ))
 
-    def _event(self, name: str, **attrs: object) -> None:
-        self._writer.event(self.trace_id, self._current_span_id(), name, **attrs)
-
     # -- LiftObserver seam --------------------------------------------------
 
-    def stage_started(self, stage: str, task_name: str) -> None:
-        self._push(f"stage:{stage}", task=task_name)
+    def emit(self, event: LiftEvent) -> None:
+        name, attrs = event.name, dict(event.attrs)
+        if name.startswith("stage_"):
+            span_name = f"stage:{attrs.pop('stage')}"
+        elif name in ("member_started", "member_finished"):
+            span_name = f"member:{event.member}"
+        else:
+            self._point(event, name, attrs)
+            return
+        if name.endswith("_started"):
+            self._open_span(event, span_name)
+        elif name.endswith("_finished"):
+            self._close_spans(event, span_name, **attrs)
+        else:  # stage_skipped: a zero-length span
+            with self._lock:
+                parent_id = self._parent_of(event)
+            self._writer.write(SpanRecord(
+                trace_id=self.trace_id, span_id=_new_id(), parent_id=parent_id,
+                name=span_name, start=event.ts, end=event.ts,
+                attrs=self._span_attrs(event, skipped=True),
+            ))
 
-    def stage_finished(self, stage: str, task_name: str, seconds: float) -> None:
-        self._pop(f"stage:{stage}", task=task_name, seconds=seconds)
-
-    def stage_skipped(self, stage: str, task_name: str) -> None:
-        now = time.time()
-        self._writer.span(
-            self.trace_id, _new_id(), self._current_span_id(),
-            f"stage:{stage}", now, now, task=task_name, skipped=True,
-        )
-
-    def search_progress(self, nodes_expanded: int, candidates_tried: int,
-                        nodes_per_sec: float = 0.0,
-                        duplicates_pruned: int = 0) -> None:
-        self._event(
-            "search_progress",
-            nodes_expanded=nodes_expanded,
-            candidates_tried=candidates_tried,
-            nodes_per_sec=round(nodes_per_sec, 3),
-            duplicates_pruned=duplicates_pruned,
-        )
-
-    def candidate_accepted(self, program: str) -> None:
-        self._event("candidate_accepted", program=program)
-
-    def retrieval_seeded(self, task_name: str, neighbors: int, hit: bool) -> None:
-        # Lands inside the open stage:seed span, so seed hits are
-        # attributable in the tree just like accepted candidates.
-        self._event(
-            "retrieval_seeded", task=task_name, neighbors=neighbors, hit=hit,
-        )
-
-    def validator_stats(self, candidates: int, screen_rejects: int,
-                        exact_checks: int, seconds: float) -> None:
-        rate = candidates / seconds if seconds > 0 else 0.0
-        self._event(
-            "validator_tiers",
-            candidates=candidates,
-            screen_rejects=screen_rejects,
-            exact_checks=exact_checks,
-            seconds=seconds,
-            candidates_per_sec=round(rate, 3),
-        )
-
-    def member_started(self, member: str, task_name: str) -> None:
-        self._push(f"member:{member}", member=member, task=task_name)
-
-    def member_finished(self, member: str, task_name: str,
-                        success: bool, seconds: float) -> None:
-        self._pop(f"member:{member}", success=success, seconds=seconds)
-
-    def member_cancelled(self, member: str, task_name: str) -> None:
-        # Emitted by the coordinating thread after the race resolves, so
-        # this lands on the root span rather than the member's own stack.
-        self._writer.event(
-            self.trace_id, self.root_span_id, "member_cancelled",
-            member=member, task=task_name,
-        )
-
-    def portfolio_winner(self, member: str, task_name: str) -> None:
-        self._writer.event(
-            self.trace_id, self.root_span_id, "portfolio_winner",
-            member=member, task=task_name,
-        )
+    def _point(self, event: LiftEvent, name: str, attrs: Dict[str, object]) -> None:
+        """A point event on the innermost open span of the event's member."""
+        if name == "search_progress":
+            attrs["nodes_per_sec"] = round(attrs["nodes_per_sec"], 3)
+        elif name == "validator_stats":
+            name = "validator_tiers"
+            seconds = attrs["seconds"]
+            rate = attrs["candidates"] / seconds if seconds > 0 else 0.0
+            attrs["candidates_per_sec"] = round(rate, 3)
+        if name in _TASK_TAGGED_EVENTS:
+            attrs["task"] = event.task
+        if event.member:
+            attrs["member"] = event.member
+        with self._lock:
+            span_id = self._innermost(event.member)
+        self._writer.event(self.trace_id, span_id, name, ts=event.ts, **attrs)
 
     # -- lifecycle ----------------------------------------------------------
 

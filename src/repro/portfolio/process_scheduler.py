@@ -24,12 +24,11 @@ work instead of the max.  This scheduler races each member in its own
 * **Deterministic winner.**  Lowest-index success wins, exactly as in the
   thread race, so thread- and process-backed runs attribute the same winner
   for in-budget runs.
-
-Member-internal stage events cannot cross the process boundary, so
-observers see the member lifecycle (``member_started`` / ``member_finished``
-/ ``portfolio_winner`` / ``member_cancelled``, in the thread scheduler's
-order) but not per-stage progress inside members — the documented telemetry
-trade of the process backend.
+* **Forwarded events.**  When the race has an observer, each child lifts
+  with a sink that puts ``(index, event)`` messages on the result queue,
+  and the parent re-emits them with the member bound — observers see the
+  same stream as in the thread race.  One producer per child keeps FIFO
+  order, so a member's events arrive before its result.
 """
 
 from __future__ import annotations
@@ -38,23 +37,29 @@ import multiprocessing
 import pickle
 import queue as queue_module
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.result import SynthesisReport
 from ..lifting.budget import Budget
 from ..lifting.executor import ExecutionConfig, TokenBudget
-from ..lifting.observer import LiftObserver, safe_notify
+from ..lifting.observer import LiftEvent, LiftObserver, bind, safe_notify
 from ..lifting.pipeline import PipelineState, ensure_picklable
-from .scheduler import POLL_INTERVAL_SECONDS, MemberRun, settle_race, shared_window
+from .scheduler import (
+    POLL_INTERVAL_SECONDS,
+    MemberRun,
+    member_finished,
+    settle_race,
+    shared_window,
+)
 
 #: How long losers get to reach their next poll point after the race is
 #: decided before the parent terminates them.  Poll points are dense (every
 #: queue pop / 64 substitutions), so reaching this is a bug, not a plan.
 JOIN_GRACE_SECONDS = 10.0
 
-#: Empty-queue polls with a dead child before its result is declared lost
-#: (the queue's feeder thread flushes on exit, so in-flight results land
-#: within a poll or two of process death).
+#: Poll intervals a dead child gets for its result to arrive before the
+#: result is declared lost (the queue's feeder thread flushes on exit, so
+#: in-flight results land within a poll or two of process death).
 _DEAD_CHILD_STRIKES = 10
 
 
@@ -70,6 +75,17 @@ def _pickle_lifter(name: str, lifter: object) -> bytes:
         ) from cause
 
 
+class _QueueSink(LiftObserver):
+    """Child-side observer: forward every event to the parent's queue."""
+
+    def __init__(self, index: int, results: object) -> None:
+        self._index = index
+        self._results = results
+
+    def emit(self, event: LiftEvent) -> None:
+        self._results.put((self._index, event))
+
+
 def _race_member(
     index: int,
     lifter_bytes: bytes,
@@ -78,14 +94,17 @@ def _race_member(
     timeout_seconds: Optional[float],
     token: object,
     results: object,
+    forward: bool,
 ) -> None:
     """Child entry point: run one member under a token-linked budget.
 
     Runs in the worker process.  The budget is built *here* (budgets hold a
     live ``threading.Event`` and never cross process boundaries); the shared
-    token makes the first win visible at every existing poll point.
+    token makes the first win visible at every existing poll point.  With
+    *forward*, the member's events go to the parent over *results*.
     """
     budget = TokenBudget(timeout_seconds, token)
+    observer = _QueueSink(index, results) if forward else None
     report: Optional[SynthesisReport] = None
     error = ""
     started = time.monotonic()
@@ -93,10 +112,12 @@ def _race_member(
         lifter = pickle.loads(lifter_bytes)
         if state_bytes is not None and hasattr(lifter, "lift_from_state"):
             state: PipelineState = pickle.loads(state_bytes)
-            report = lifter.lift_from_state(state.fork(), budget=budget)
+            report = lifter.lift_from_state(
+                state.fork(), budget=budget, observer=observer
+            )
         else:
             task = pickle.loads(task_bytes)
-            report = lifter.lift(task, budget=budget)
+            report = lifter.lift(task, budget=budget, observer=observer)
     except Exception as exc:  # noqa: BLE001 - never kill the race
         error = f"{type(exc).__name__}: {exc}"
     elapsed = time.monotonic() - started
@@ -166,6 +187,7 @@ class ProcessMemberScheduler:
             for index, (name, _lifter) in enumerate(members)
         ]
         processes = []
+        started_at = []
         for run, blob, (name, lifter) in zip(runs, member_bytes, members):
             process = context.Process(
                 target=_race_member,
@@ -177,16 +199,20 @@ class ProcessMemberScheduler:
                     sub_timeout,
                     token,
                     results,
+                    observer is not None,
                 ),
                 name=f"portfolio-{task_name}-{name}",
                 daemon=True,
             )
             run.started = True
-            safe_notify(observer, "member_started", run.name, task_name)
+            safe_notify(observer, LiftEvent("member_started", task_name, run.name))
+            started_at.append(time.monotonic())
             process.start()
             processes.append(process)
 
-        self._collect(runs, processes, results, token, budget, task_name, observer)
+        self._collect(
+            runs, processes, started_at, results, token, budget, task_name, observer
+        )
         self._join_all(processes, token)
         results.close()
         results.join_thread()
@@ -200,58 +226,60 @@ class ProcessMemberScheduler:
         self,
         runs: List[MemberRun],
         processes: List["multiprocessing.Process"],
+        started_at: List[float],
         results: "multiprocessing.Queue",
         token: object,
         budget: Optional[Budget],
         task_name: str,
         observer: Optional[LiftObserver],
     ) -> None:
-        """Drain results until every member reported or was declared lost."""
+        """Drain results until every member reported or was declared lost.
+
+        Forwarded ``(index, event)`` messages are re-emitted on the way,
+        with the member bound.
+        """
+        members = [bind(observer, member=run.name) for run in runs]
         pending = {run.index for run in runs}
-        dead_strikes = {run.index: 0 for run in runs}
+        dead_since: Dict[int, float] = {}
         while pending:
             try:
-                index, payload, error, elapsed, cancelled = results.get(
-                    timeout=self._poll_interval
-                )
+                message = results.get(timeout=self._poll_interval)
             except queue_module.Empty:
-                # Propagate a parent-side expiry/cancel to every child.
-                if budget is not None and budget.expired():
-                    token.set()
-                # A child that died without reporting (hard crash) must not
-                # hang the race; give its queued result a few polls to
-                # flush, then record the loss.
-                for run in runs:
-                    if run.index not in pending:
-                        continue
-                    if processes[run.index].is_alive():
-                        dead_strikes[run.index] = 0
-                        continue
-                    dead_strikes[run.index] += 1
-                    if dead_strikes[run.index] >= _DEAD_CHILD_STRIKES:
-                        exitcode = processes[run.index].exitcode
-                        run.error = (
-                            f"worker process exited without a result "
-                            f"(exitcode {exitcode})"
-                        )
-                        run.finished = True
-                        pending.discard(run.index)
-                        safe_notify(
-                            observer, "member_finished",
-                            run.name, task_name, False, run.elapsed_seconds,
-                        )
-                continue
-            run = runs[index]
-            run.report = pickle.loads(payload)
-            run.error = error
-            run.elapsed_seconds = elapsed
-            run.finished = True
-            run.cancelled = cancelled and not run.succeeded
-            pending.discard(index)
-            safe_notify(
-                observer, "member_finished",
-                run.name, task_name, run.succeeded, run.elapsed_seconds,
-            )
+                message = None
+            if message is not None and len(message) == 2:
+                index, event = message
+                safe_notify(members[index], event)
+            elif message is not None:
+                index, payload, error, elapsed, cancelled = message
+                run = runs[index]
+                run.report = pickle.loads(payload)
+                run.error = error
+                run.elapsed_seconds = elapsed
+                run.finished = True
+                run.cancelled = cancelled and not run.succeeded
+                pending.discard(index)
+                safe_notify(observer, member_finished(run, task_name))
+            # Propagate a parent-side expiry/cancel to every child.
+            if budget is not None and budget.expired():
+                token.set()
+            # A child that died without reporting (hard crash) must not
+            # hang the race; give its queued result a few polls to flush,
+            # then record the loss.
+            now = time.monotonic()
+            for run in runs:
+                if run.index not in pending or processes[run.index].is_alive():
+                    continue
+                dead_at = dead_since.setdefault(run.index, now)
+                if now - dead_at < _DEAD_CHILD_STRIKES * self._poll_interval:
+                    continue
+                run.error = (
+                    f"worker process exited without a result "
+                    f"(exitcode {processes[run.index].exitcode})"
+                )
+                run.elapsed_seconds = now - started_at[run.index]
+                run.finished = True
+                pending.discard(run.index)
+                safe_notify(observer, member_finished(run, task_name))
 
     def _join_all(
         self, processes: List["multiprocessing.Process"], token: object

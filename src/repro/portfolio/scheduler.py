@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.result import SynthesisReport
 from ..lifting.budget import Budget
-from ..lifting.observer import LiftObserver, safe_notify, tag_member
+from ..lifting.observer import LiftEvent, LiftObserver, bind, safe_notify
 
 #: A member runner: execute one member's lift under (budget, observer).
 MemberRunner = Callable[[Budget, Optional[LiftObserver]], SynthesisReport]
@@ -74,50 +74,6 @@ class MemberRun:
         return self.report is not None and self.report.timed_out
 
 
-class _MemberObserver(LiftObserver):
-    """Forward one member's pipeline events with member attribution.
-
-    Stage events from racing members would otherwise interleave under the
-    same task name; the wrapper tags them ``task[member]`` so ``repro lift
-    -v`` output and the service's live stage field stay readable.  Search
-    heartbeats and accepted candidates forward unchanged.
-    """
-
-    def __init__(self, parent: Optional[LiftObserver], member: str) -> None:
-        self._parent = parent
-        self._member = member
-
-    def _tag(self, task_name: str) -> str:
-        return tag_member(task_name, self._member)
-
-    def stage_started(self, stage: str, task_name: str) -> None:
-        safe_notify(self._parent, "stage_started", stage, self._tag(task_name))
-
-    def stage_finished(self, stage: str, task_name: str, seconds: float) -> None:
-        safe_notify(self._parent, "stage_finished", stage, self._tag(task_name), seconds)
-
-    def stage_skipped(self, stage: str, task_name: str) -> None:
-        safe_notify(self._parent, "stage_skipped", stage, self._tag(task_name))
-
-    def search_progress(self, nodes_expanded: int, candidates_tried: int,
-                        nodes_per_sec: float = 0.0,
-                        duplicates_pruned: int = 0) -> None:
-        safe_notify(
-            self._parent, "search_progress",
-            nodes_expanded, candidates_tried, nodes_per_sec, duplicates_pruned,
-        )
-
-    def candidate_accepted(self, program: str) -> None:
-        safe_notify(self._parent, "candidate_accepted", program)
-
-    def validator_stats(self, candidates: int, screen_rejects: int,
-                        exact_checks: int, seconds: float) -> None:
-        safe_notify(
-            self._parent, "validator_stats",
-            candidates, screen_rejects, exact_checks, seconds,
-        )
-
-
 class MemberScheduler:
     """Race member runners under per-member sub-budgets with first-win cancel."""
 
@@ -156,8 +112,8 @@ class MemberScheduler:
 
         def worker(run: MemberRun, runner: MemberRunner) -> None:
             run.started = True
-            safe_notify(observer, "member_started", run.name, task_name)
-            member_observer = _MemberObserver(observer, run.name)
+            safe_notify(observer, LiftEvent("member_started", task_name, run.name))
+            member_observer = bind(observer, member=run.name)
             started_at = time.monotonic()
             try:
                 run.report = runner(run.budget, member_observer)
@@ -178,14 +134,7 @@ class MemberScheduler:
                             other.budget.cancel()
                 remaining[0] -= 1
                 race_over = remaining[0] == 0
-            safe_notify(
-                observer,
-                "member_finished",
-                run.name,
-                task_name,
-                run.succeeded,
-                run.elapsed_seconds,
-            )
+            safe_notify(observer, member_finished(run, task_name))
             if race_over:
                 all_done.set()
 
@@ -243,8 +192,15 @@ def settle_race(
         if run.succeeded and (winner is None or run.index < winner.index):
             winner = run
     if winner is not None:
-        safe_notify(observer, "portfolio_winner", winner.name, task_name)
+        safe_notify(observer, LiftEvent("portfolio_winner", task_name, winner.name))
         for run in runs:
             if run.index != winner.index and run.cancelled:
-                safe_notify(observer, "member_cancelled", run.name, task_name)
+                safe_notify(observer, LiftEvent("member_cancelled", task_name, run.name))
     return winner
+
+
+def member_finished(run: MemberRun, task_name: str) -> LiftEvent:
+    """The ``member_finished`` event for *run* (win, loss, timeout or crash)."""
+    return LiftEvent("member_finished", task_name, run.name, attrs={
+        "success": run.succeeded, "seconds": run.elapsed_seconds,
+    })

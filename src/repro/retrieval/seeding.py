@@ -32,7 +32,8 @@ from __future__ import annotations
 import time
 from typing import List, Optional
 
-from ..core.search import SearchOutcome, safe_notify
+from ..core.events import LiftEvent, safe_notify
+from ..core.search import SearchOutcome
 from ..core.templates import Template, templatize
 from ..lifting.checking import build_harness, check_candidate
 from ..lifting.pipeline import Stage
@@ -41,6 +42,10 @@ from .retriever import Retriever
 
 #: Stage name (prefixed to the canonical five when retrieval is armed).
 SEED_STAGE_NAME = "seed"
+
+
+def _seeded(neighbors: int, hit: bool) -> LiftEvent:
+    return LiftEvent("retrieval_seeded", attrs={"neighbors": neighbors, "hit": hit})
 
 
 class SeedStage(Stage):
@@ -64,13 +69,13 @@ class SeedStage(Stage):
         state.seed_info = info
         retriever = Retriever.open(config.retrieval_cache_dir)
         if retriever is None:  # disarmed/cold: the one guarded check
-            safe_notify(observer, "retrieval_seeded", state.task.name, 0, False)
+            safe_notify(observer, _seeded(0, False))
             return
         info["armed"] = True
         neighbors = retriever.neighbors(state.task, k=config.retrieval_k)
         info["neighbors"] = len(neighbors)
         if not neighbors:
-            safe_notify(observer, "retrieval_seeded", state.task.name, 0, False)
+            safe_notify(observer, _seeded(0, False))
             return
         state.ensure_analysis()
         harness = build_harness(
@@ -121,10 +126,7 @@ class SeedStage(Stage):
                 pass
         if not info["hit"] and seed_templates:
             state.seed_templates = seed_templates
-        safe_notify(
-            observer, "retrieval_seeded",
-            state.task.name, info["neighbors"], info["hit"],
-        )
+        safe_notify(observer, _seeded(info["neighbors"], info["hit"]))
 
     def annotate(self, state, report) -> None:
         if getattr(state, "seed_info", None) is not None:

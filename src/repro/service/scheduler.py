@@ -60,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.result import SynthesisReport
 from ..lifting import Budget, LiftObserver
-from ..lifting.observer import CompositeObserver, tagged_member
+from ..lifting.observer import CompositeObserver, LiftEvent
 from ..obs import MetricsRegistry
 from ..obs import trace as obs_trace
 from ..obs.trace import TracingObserver, job_span_id
@@ -170,54 +170,36 @@ class Job:
 
 
 class _JobObserver(LiftObserver):
-    """Mirror pipeline progress onto the job so ``GET /status`` shows it live."""
+    """Mirror pipeline progress onto the job so ``GET /status`` shows it live.
+
+    Portfolio jobs surface the race itself, not just pipeline stages.
+    Member events arrive from racing threads; the stage field is a plain
+    last-writer-wins snapshot, which is exactly what a live view wants.
+    """
 
     def __init__(self, job: "Job") -> None:
         self._job = job
-        self._racing = False
 
-    def _member_of(self, task_name: str) -> str:
-        """The ``[member]`` attribution a portfolio tags stage events with.
-
-        Only consulted once a ``member_started`` event marked this job as a
-        race — a plain lift of a task whose *name* contains brackets must
-        not be mistaken for a portfolio member.
-        """
-        if not self._racing:
-            return ""
-        return tagged_member(task_name)
-
-    def stage_started(self, stage: str, task_name: str) -> None:
-        member = self._member_of(task_name)
-        self._job.stage = f"portfolio[{member}]:{stage}" if member else stage
-
-    def stage_skipped(self, stage: str, task_name: str) -> None:
-        member = self._member_of(task_name)
-        if member:
+    def emit(self, event: LiftEvent) -> None:
+        name, member = event.name, event.member
+        stage = event.attrs.get("stage", "")
+        if name == "stage_started":
+            self._job.stage = f"portfolio[{member}]:{stage}" if member else stage
+        elif name == "stage_skipped":
             # Racing members resume from the portfolio's shared oracle state
             # — their skipped stages are shared work, not store replays.
-            self._job.stage = f"portfolio[{member}]:{stage} (shared)"
-        else:
-            self._job.stage = f"{stage} (cached)"
-
-    def search_progress(self, nodes_expanded: int, candidates_tried: int,
-                        nodes_per_sec: float = 0.0,
-                        duplicates_pruned: int = 0) -> None:
-        prefix = "portfolio search" if self._racing else "search"
-        self._job.stage = f"{prefix}:{nodes_expanded}"
-
-    # Portfolio jobs: surface the race itself, not just pipeline stages.
-    # Member events arrive from racing threads; the stage field is a plain
-    # last-writer-wins snapshot, which is exactly what a live view wants.
-    def member_started(self, member: str, task_name: str) -> None:
-        self._racing = True
-        self._job.stage = f"portfolio:{member}"
-
-    def member_cancelled(self, member: str, task_name: str) -> None:
-        self._job.stage = f"portfolio:{member} cancelled"
-
-    def portfolio_winner(self, member: str, task_name: str) -> None:
-        self._job.stage = f"portfolio winner:{member}"
+            self._job.stage = (
+                f"portfolio[{member}]:{stage} (shared)" if member else f"{stage} (cached)"
+            )
+        elif name == "search_progress":
+            prefix = "portfolio search" if member else "search"
+            self._job.stage = f"{prefix}:{event.attrs['nodes_expanded']}"
+        elif name == "member_started":
+            self._job.stage = f"portfolio:{member}"
+        elif name == "member_cancelled":
+            self._job.stage = f"portfolio:{member} cancelled"
+        elif name == "portfolio_winner":
+            self._job.stage = f"portfolio winner:{member}"
 
 
 def _accepts_budget(executor: Callable) -> bool:

@@ -12,7 +12,9 @@ import pytest
 from repro.core import StaggSynthesizer
 from repro.core.synthesizer import synthesis_invocations
 from repro.lifting import (
+    LiftEvent,
     PipelineState,
+    PrintObserver,
     RecordingObserver,
     STAGE_NAMES,
     STAGES,
@@ -68,16 +70,14 @@ class TestObserverEvents:
         observer = RecordingObserver()
         report = _synthesizer().lift(_task(), observer=observer)
         assert report.success
-        accepted = [e for e in observer.events if e[0] == "candidate_accepted"]
-        assert accepted and accepted[-1][1] == str(report.lifted_program)
+        accepted = [e for e in observer.events if e.name == "candidate_accepted"]
+        assert accepted and accepted[-1].attrs["program"] == str(report.lifted_program)
 
     def test_broken_observer_never_breaks_the_lift(self):
         class Broken(RecordingObserver):
-            def stage_started(self, stage, task_name):
-                raise RuntimeError("observer bug")
-
-            def search_progress(self, nodes, candidates):
-                raise RuntimeError("observer bug")
+            def emit(self, event):
+                if event.name in ("stage_started", "search_progress"):
+                    raise RuntimeError("observer bug")
 
         report = _synthesizer().lift(_task(), observer=Broken())
         assert report.success
@@ -87,8 +87,9 @@ class TestObserverEvents:
         import warnings
 
         class Broken(RecordingObserver):
-            def stage_started(self, stage, task_name):
-                raise RuntimeError("observer bug")
+            def emit(self, event):
+                if event.name == "stage_started":
+                    raise RuntimeError("observer bug")
 
         observer = Broken()
         with warnings.catch_warnings(record=True) as caught:
@@ -114,8 +115,9 @@ class TestObserverEvents:
         import warnings
 
         class Broken(RecordingObserver):
-            def stage_started(self, stage, task_name):
-                raise RuntimeError("observer bug")
+            def emit(self, event):
+                if event.name == "stage_started":
+                    raise RuntimeError("observer bug")
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -127,8 +129,9 @@ class TestObserverEvents:
         import warnings
 
         class Broken(RecordingObserver):
-            def stage_started(self, stage, task_name):
-                raise RuntimeError("observer bug")
+            def emit(self, event):
+                if event.name == "stage_started":
+                    raise RuntimeError("observer bug")
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -136,6 +139,55 @@ class TestObserverEvents:
             _synthesizer().lift(_task(), observer=Broken())
         ours = [w for w in caught if "lift observer" in str(w.message)]
         assert len(ours) == 2
+
+
+class TestPrintObserver:
+    def test_verbose_lines_for_every_event(self):
+        lines = []
+        observer = PrintObserver(lines.append)
+        for event in (
+            LiftEvent("stage_started", "k", "TD", attrs={"stage": "search"}),
+            LiftEvent("stage_finished", "k", attrs={"stage": "search", "seconds": 0.25}),
+            LiftEvent("stage_skipped", "k", "TD", attrs={"stage": "oracle"}),
+            LiftEvent("search_progress", attrs={
+                "nodes_expanded": 1024, "candidates_tried": 3,
+                "nodes_per_sec": 2048.4, "duplicates_pruned": 7,
+            }),
+            LiftEvent("search_progress", attrs={
+                "nodes_expanded": 512, "candidates_tried": 0,
+                "nodes_per_sec": 0.0, "duplicates_pruned": 0,
+            }),
+            LiftEvent("candidate_accepted", attrs={"program": "a(i) = b(i)"}),
+            LiftEvent("retrieval_seeded", "k", attrs={"neighbors": 2, "hit": True}),
+            LiftEvent("validator_stats", attrs={
+                "candidates": 10, "screen_rejects": 4, "exact_checks": 6, "seconds": 0.5,
+            }),
+            LiftEvent("validator_stats", attrs={
+                "candidates": 10, "screen_rejects": 4, "exact_checks": 6, "seconds": 0.0,
+            }),
+            LiftEvent("member_started", "k", "TD"),
+            LiftEvent("member_finished", "k", "TD", attrs={"success": True, "seconds": 1.5}),
+            LiftEvent("member_finished", "k", "BU", attrs={"success": False, "seconds": 1.5}),
+            LiftEvent("member_cancelled", "k", "BU"),
+            LiftEvent("portfolio_winner", "k", "TD"),
+        ):
+            observer.emit(event)
+        assert lines == [
+            "[k[TD]] stage search ...",
+            "[k] stage search done in 0.250s",
+            "[k[TD]] stage oracle skipped (resumed from state)",
+            "  search: 1024 nodes expanded, 3 candidates tried, 2048 nodes/s",
+            "  search: 512 nodes expanded, 0 candidates tried",
+            "  accepted: a(i) = b(i)",
+            "[k] seeded from 2 neighbor(s): tier-0 hit (search skipped)",
+            "  validator: 10 candidates (20/s), 4 screened out, 6 exact checks",
+            "  validator: 10 candidates, 4 screened out, 6 exact checks",
+            "[k] member TD started",
+            "[k] member TD: solved in 1.500s",
+            "[k] member BU: no solution in 1.500s",
+            "[k] member BU cancelled (another member won)",
+            "[k] winner: TD",
+        ]
 
 
 class TestResumeFromState:

@@ -11,6 +11,7 @@ boundary, and no child process ever outlives the race.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -141,7 +142,7 @@ class TestRaceLifecycle:
         )
         report = lifter.lift(_task(), observer=observer)
         assert report.success
-        events = [event[0] for event in observer.events]
+        events = [event.name for event in observer.events]
         assert events.count("member_started") == 2
         assert "portfolio_winner" in events
         started = [
@@ -191,6 +192,15 @@ class TestMemberPickling:
             )
 
 
+class _ExitingLifter:
+    """A member whose worker process dies without reporting a result."""
+
+    label = "Exiting"
+
+    def lift(self, task, budget=None, observer=None):
+        os._exit(3)
+
+
 # ---------------------------------------------------------------------- #
 # The scheduler surface used by PortfolioLifter
 # ---------------------------------------------------------------------- #
@@ -208,4 +218,24 @@ class TestProcessMemberScheduler:
         # Thread-scheduler parity: the winner is the lowest-index success.
         successes = [run for run in runs if run.succeeded]
         assert winner.name == successes[0].name
+        assert _no_orphans()
+
+    def test_dead_child_is_declared_lost_with_its_elapsed_time(self):
+        observer = RecordingObserver()
+        members = [
+            ("crash", _ExitingLifter()),
+            ("STAGG_TD", resolve_method("STAGG_TD", timeout_seconds=30.0, oracle_seed=2025)),
+        ]
+        runs, winner = ProcessMemberScheduler(
+            ExecutionConfig("processes", workers=2)
+        ).race(members, task=_task(), task_name="darknet.copy_cpu", observer=observer)
+        crashed = runs[0]
+        assert "exitcode 3" in crashed.error
+        assert crashed.report is None and not crashed.succeeded
+        assert crashed.elapsed_seconds > 0
+        assert winner is not None and winner.name == "STAGG_TD"
+        finished = [e for e in observer.events if e.name == "member_finished"]
+        assert sorted(e.member for e in finished) == ["STAGG_TD", "crash"]
+        lost = next(e for e in finished if e.member == "crash")
+        assert lost.attrs["seconds"] == crashed.elapsed_seconds > 0
         assert _no_orphans()

@@ -21,6 +21,8 @@ from repro.core.result import SynthesisReport
 from repro.core.search import SearchLimits
 from repro.lifting import (
     CompositeObserver,
+    ExecutionConfig,
+    LiftEvent,
     LiftObserver,
     RecordingObserver,
     resolve_method,
@@ -38,10 +40,10 @@ def _task(name: str = "darknet.copy_cpu"):
 
 
 def _traced_lift(tmp_path, method: str = "STAGG_TD",
-                 benchmark: str = "darknet.copy_cpu"):
+                 benchmark: str = "darknet.copy_cpu", execution=None):
     path = tmp_path / "trace.jsonl"
     tracer = TracingObserver(TraceWriter(path), task=benchmark)
-    lifter = resolve_method(method, timeout_seconds=30.0)
+    lifter = resolve_method(method, timeout_seconds=30.0, execution=execution)
     report = lifter.lift(_task(benchmark), observer=tracer)
     tracer.close(success=report.success, method=method)
     return path, report
@@ -99,10 +101,21 @@ class TestTracedLift:
 # ---------------------------------------------------------------------- #
 # Traced portfolio lift (the acceptance criterion)
 # ---------------------------------------------------------------------- #
+#: Both racing backends must produce the same member-level trace shape.
+BACKENDS = [
+    pytest.param(None, id="default"),
+    pytest.param(ExecutionConfig("threads", 2), id="threads"),
+    pytest.param(ExecutionConfig("processes", 2), id="processes"),
+]
+
+
 class TestTracedPortfolio:
-    def test_full_span_tree_reconstructs(self, tmp_path):
+    @pytest.mark.parametrize("execution", BACKENDS)
+    def test_full_span_tree_reconstructs(self, tmp_path, execution):
+        benchmark = "darknet.copy_cpu" if execution is None else "llama.rmsnorm_sum_squares"
         path, report = _traced_lift(
-            tmp_path, method="Portfolio(STAGG_TD,STAGG_BU)"
+            tmp_path, method="Portfolio(STAGG_TD,STAGG_BU)",
+            benchmark=benchmark, execution=execution,
         )
         assert report.success
         traces = build_forest(load_trace(path))
@@ -111,18 +124,46 @@ class TestTracedPortfolio:
         assert root.name == "lift"
         members = [c for c in root.children if c.name.startswith("member:")]
         assert {m.name for m in members} == {"member:STAGG_TD", "member:STAGG_BU"}
-        # Thread-local parenting: each member's race-phase stages nest
-        # under that member's span, not under the root or the other member.
+        race = report.details["portfolio"]
+        records = {m["name"]: m for m in race["members"]}
+        # Each member's stages nest under that member's span, not under the
+        # root or the other member — whichever thread or process ran it.
+        # Members resume from the shared oracle state, so each one always
+        # records skipped oracle-derived stages.  Every member has its
+        # search span, except a loser the win cancelled at a stage
+        # boundary before it expanded a node (which member finishes first
+        # is not asserted).
         for member in members:
+            assert member.span.parent_id == root.span.span_id
             stage_names = [c.name for c in member.children]
-            assert "stage:search" in stage_names
+            assert "stage:oracle" in stage_names
+            record = records[member.name.removeprefix("member:")]
+            assert "stage:search" in stage_names or (
+                record["name"] != race["winner"]
+                and record["cancelled"]
+                and record["nodes_expanded"] == 0
+            )
             for child in member.children:
                 assert child.span.parent_id == member.span.span_id
         winner_events = [e for e in root.events if e.name == "portfolio_winner"]
         assert len(winner_events) == 1
-        assert winner_events[0].attrs["member"] == (
-            report.details["portfolio"]["winner"]
-        )
+        assert winner_events[0].attrs["member"] == race["winner"]
+
+    def test_process_portfolio_verbose_prints_member_stages(self, capsys):
+        status = cli_main([
+            "lift", "llama.rmsnorm_sum_squares",
+            "--method", "Portfolio(STAGG_TD,STAGG_BU)",
+            "--executor", "processes:2", "--timeout", "30", "-v",
+        ])
+        assert status == 0
+        out = capsys.readouterr().out
+        # Only STAGG_TD solves this kernel, so it always searches; STAGG_BU
+        # may be cancelled before its search, but always resumes the
+        # shared oracle state first.
+        assert "[llama.rmsnorm_sum_squares[STAGG_TD]] stage search ..." in out
+        assert "[llama.rmsnorm_sum_squares[STAGG_TD]] stage search done in" in out
+        assert "[llama.rmsnorm_sum_squares[STAGG_BU]] stage oracle skipped" in out
+        assert "winner: STAGG_TD" in out
 
     def test_renderers_cover_the_portfolio_tree(self, tmp_path):
         path, _ = _traced_lift(tmp_path, method="Portfolio(STAGG_TD,STAGG_BU)")
@@ -154,11 +195,11 @@ class TestRaceEventOrdering:
             [("fast", fast), ("slow", slow)], task_name="t", observer=observer
         )
         assert winner is not None and winner.name == "fast"
-        kinds = [event[0] for event in observer.events]
+        kinds = [event.name for event in observer.events]
         started = [i for i, e in enumerate(observer.events)
-                   if e[0] == "member_started"]
+                   if e.name == "member_started"]
         cancelled = [i for i, e in enumerate(observer.events)
-                     if e[0] == "member_cancelled"]
+                     if e.name == "member_cancelled"]
         winner_at = kinds.index("portfolio_winner")
         assert cancelled, "the slow member must report a cancellation"
         # member_started < portfolio_winner < member_cancelled: a trace
@@ -170,16 +211,14 @@ class TestRaceEventOrdering:
 # CompositeObserver: broken children cannot suppress siblings
 # ---------------------------------------------------------------------- #
 class _BrokenOn(LiftObserver):
-    """An observer whose listed callbacks raise (instance attrs shadow
-    the base class's no-op methods)."""
+    """An observer that raises on the listed event names."""
 
-    def __init__(self, *methods: str) -> None:
-        for name in methods:
-            setattr(self, name, self._boom)
+    def __init__(self, *names: str) -> None:
+        self._names = names
 
-    @staticmethod
-    def _boom(*args, **kwargs):
-        raise RuntimeError("broken observer")
+    def emit(self, event: LiftEvent) -> None:
+        if event.name in self._names:
+            raise RuntimeError("broken observer")
 
 
 class TestCompositeObserver:
@@ -188,8 +227,10 @@ class TestCompositeObserver:
         composite = CompositeObserver(_BrokenOn("portfolio_winner"), recording)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            safe_notify(composite, "portfolio_winner", "STAGG_TD", "t")
-        assert ("portfolio_winner", "STAGG_TD", "t") in recording.events
+            safe_notify(composite, LiftEvent("portfolio_winner", "t", "STAGG_TD"))
+        assert ("portfolio_winner", "STAGG_TD", "t") in [
+            (e.name, e.member, e.task) for e in recording.events
+        ]
         messages = [str(w.message) for w in caught]
         assert any("portfolio_winner" in m for m in messages)
 
@@ -198,9 +239,9 @@ class TestCompositeObserver:
         composite = CompositeObserver(broken)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            safe_notify(composite, "stage_started", "oracle", "t")
-            safe_notify(composite, "stage_started", "search", "t")
-            safe_notify(composite, "portfolio_winner", "STAGG_TD", "t")
+            safe_notify(composite, LiftEvent("stage_started", "t", attrs={"stage": "oracle"}))
+            safe_notify(composite, LiftEvent("stage_started", "t", attrs={"stage": "search"}))
+            safe_notify(composite, LiftEvent("portfolio_winner", "t", "STAGG_TD"))
         messages = [str(w.message) for w in caught]
         assert len([m for m in messages if "stage_started" in m]) == 1
         assert len([m for m in messages if "portfolio_winner" in m]) == 1
@@ -209,8 +250,9 @@ class TestCompositeObserver:
         recording = RecordingObserver()
         composite = CompositeObserver(None, recording, None)
         assert composite.children == (recording,)
-        safe_notify(composite, "candidate_accepted", "a(i) = b(i)")
-        assert recording.events == [("candidate_accepted", "a(i) = b(i)")]
+        event = LiftEvent("candidate_accepted", attrs={"program": "a(i) = b(i)"})
+        safe_notify(composite, event)
+        assert recording.events == [event]
 
     def test_broken_observer_in_real_race_keeps_tracer_informed(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -250,13 +292,15 @@ class TestProgressHeartbeat:
 
     def test_heartbeats_carry_rates_and_prune_counts(self):
         observer = self._lift_with_interval(1)
-        beats = [e for e in observer.events if e[0] == "search_progress"]
+        beats = [e for e in observer.events if e.name == "search_progress"]
         assert beats
-        assert all(len(e) == 5 for e in beats)
-        nodes = [e[1] for e in beats]
+        assert all(set(e.attrs) == {
+            "nodes_expanded", "candidates_tried", "nodes_per_sec", "duplicates_pruned",
+        } for e in beats)
+        nodes = [e.attrs["nodes_expanded"] for e in beats]
         assert nodes == sorted(nodes)
-        assert all(e[3] >= 0.0 for e in beats)  # nodes_per_sec
-        assert all(e[4] >= 0 for e in beats)    # duplicates_pruned
+        assert all(e.attrs["nodes_per_sec"] >= 0.0 for e in beats)
+        assert all(e.attrs["duplicates_pruned"] >= 0 for e in beats)
 
     def test_zero_interval_is_rejected_at_construction(self):
         # Heartbeats are disabled by lifting without an observer, not by a

@@ -298,20 +298,20 @@ class TestPortfolioLift:
         lifter = resolve_method("Portfolio(STAGG_TD,STAGG_BU)", timeout_seconds=30.0)
         report = lifter.lift(_task(), observer=observer)
         assert report.success
-        kinds = [event[0] for event in observer.events]
-        started = [e[1] for e in observer.events if e[0] == "member_started"]
+        kinds = [event.name for event in observer.events]
+        started = [e.member for e in observer.events if e.name == "member_started"]
         assert sorted(started) == ["STAGG_BU", "STAGG_TD"]
         assert kinds.count("portfolio_winner") == 1
-        winner_events = [e for e in observer.events if e[0] == "portfolio_winner"]
-        assert winner_events[0][1] == report.details["portfolio"]["winner"]
-        # Stage events from the race phase carry member attribution
-        # (task[member]); the shared preparation's events stay untagged.
+        winner_events = [e for e in observer.events if e.name == "portfolio_winner"]
+        assert winner_events[0].member == report.details["portfolio"]["winner"]
+        # Stage events from the race phase carry member attribution; the
+        # shared preparation's events stay untagged.
         race_stages = [
             e
             for e in observer.events
-            if e[0] == "stage_started" and e[1] in ("grammar", "search")
+            if e.name == "stage_started" and e.attrs["stage"] in ("grammar", "search")
         ]
-        assert race_stages and all("[" in e[2] for e in race_stages)
+        assert race_stages and all(e.member for e in race_stages)
 
     def test_window_bounds_the_shared_prep_phase(self):
         # The configured window must cut off a slow oracle prep, not just
@@ -457,7 +457,7 @@ class TestDeterministicTieBreak:
         assert winner.name == "b"
         failed = next(run for run in runs if run.name == "a")
         assert not failed.cancelled
-        assert not any(e[0] == "member_cancelled" for e in observer.events)
+        assert not any(e.name == "member_cancelled" for e in observer.events)
 
     def test_runner_exception_is_contained(self):
         def boom(budget, observer):

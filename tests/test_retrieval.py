@@ -192,8 +192,8 @@ class TestSeeding:
         assert set(observer.stages("stage_skipped")) == {
             "oracle", "templatize", "dimension", "grammar", "search"
         }
-        events = [e for e in observer.events if e[0] == "retrieval_seeded"]
-        assert events and events[0][3] is True
+        events = [e for e in observer.events if e.name == "retrieval_seeded"]
+        assert events and events[0].attrs["hit"] is True
 
     def test_miss_still_lifts_and_reports_attempts(self, populated):
         cache_dir, _store, _index = populated

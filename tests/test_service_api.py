@@ -160,9 +160,10 @@ class _RaceProbe(LiftObserver):
         self._racing = racing
         self.stages = []
 
-    def member_started(self, member: str, task_name: str) -> None:
-        self.stages.append(self._job.status_dict().get("stage", ""))
-        self._racing.set()
+    def emit(self, event) -> None:
+        if event.name == "member_started":
+            self.stages.append(self._job.status_dict().get("stage", ""))
+            self._racing.set()
 
 
 class _RaceSpy:
@@ -261,14 +262,14 @@ class TestServiceExecution:
         (trace,) = [t for t in build_forest(load_trace(path)) if t.trace_id == job.id]
         (root,) = trace.roots
         assert root.name == "job"
-
-        def descendants(node):
-            for child in node.children:
-                yield child
-                yield from descendants(child)
-
-        members = {n.name for n in descendants(root) if n.name.startswith("member:")}
-        assert members == {"member:STAGG_TD", "member:STAGG_BU"}
+        (lift,) = [c for c in root.children if c.name == "lift"]
+        # Forwarded member events: both members hang directly under the
+        # job's lift span, each with its (resumed) stages.
+        members = [c for c in lift.children if c.name.startswith("member:")]
+        assert {m.name for m in members} == {"member:STAGG_TD", "member:STAGG_BU"}
+        assert all(
+            any(c.name.startswith("stage:") for c in m.children) for m in members
+        )
 
 
 # ---------------------------------------------------------------------- #

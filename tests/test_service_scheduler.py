@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.result import SynthesisReport
+from repro.lifting import LiftEvent
 from repro.service import JobScheduler, JobState, ResultStore
+from repro.service.scheduler import _JobObserver
 
 
 def _report(name: str = "t", success: bool = True) -> SynthesisReport:
@@ -330,3 +333,46 @@ class TestScheduling:
         scheduler.shutdown()
         with pytest.raises(RuntimeError):
             scheduler.submit("x", digest="dz")
+
+
+class TestJobStageField:
+    """The live ``GET /status`` stage strings the job observer writes."""
+
+    def _stages(self, *events):
+        job = SimpleNamespace(stage="")
+        observer = _JobObserver(job)
+        seen = []
+        for event in events:
+            observer.emit(event)
+            seen.append(job.stage)
+        return seen
+
+    def test_plain_lift_stages(self):
+        assert self._stages(
+            LiftEvent("stage_skipped", "k", attrs={"stage": "oracle"}),
+            LiftEvent("stage_started", "k", attrs={"stage": "grammar"}),
+            LiftEvent("stage_finished", "k", attrs={"stage": "grammar", "seconds": 0.1}),
+            LiftEvent("search_progress", "k", attrs={"nodes_expanded": 512}),
+        ) == ["oracle (cached)", "grammar", "grammar", "search:512"]
+
+    def test_bracketed_task_name_is_not_a_member(self):
+        assert self._stages(
+            LiftEvent("stage_started", "k[STAGG_TD]", attrs={"stage": "search"}),
+        ) == ["search"]
+
+    def test_portfolio_race_stages(self):
+        assert self._stages(
+            LiftEvent("member_started", "k", "TD"),
+            LiftEvent("stage_skipped", "k", "TD", attrs={"stage": "oracle"}),
+            LiftEvent("stage_started", "k", "TD", attrs={"stage": "search"}),
+            LiftEvent("search_progress", "k", "TD", attrs={"nodes_expanded": 1024}),
+            LiftEvent("portfolio_winner", "k", "BU"),
+            LiftEvent("member_cancelled", "k", "TD"),
+        ) == [
+            "portfolio:TD",
+            "portfolio[TD]:oracle (shared)",
+            "portfolio[TD]:search",
+            "portfolio search:1024",
+            "portfolio winner:BU",
+            "portfolio:TD cancelled",
+        ]
