@@ -9,22 +9,19 @@ Three quantities make up the score of a partial template ``x``:
   position minimum,
 * ``X(x)``   — the penalty term (see :mod:`repro.core.penalties`).
 
-This module implements the first two.
+This module implements the first two.  The searches score forms interned by
+:class:`repro.core.search.InternedGrammar` — one code point per grammar
+symbol, code ``chr(i)`` standing for ``alphabet[i]`` — so the per-form
+quantities (the top-down ``g(x)``, the bottom-up placed-tensor count) are
+functions built once per search from per-code tables.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Callable, Dict, Mapping, Sequence
 
-from ..grammars import (
-    NonTerminal,
-    ProbabilisticGrammar,
-    Production,
-    Symbol,
-    completion_costs,
-    is_nonterminal,
-)
+from ..grammars import NonTerminal, ProbabilisticGrammar, Production, Symbol, completion_costs
 from .dimension_list import DimensionList
 from .grammar_gen import position_nonterminal
 
@@ -41,28 +38,53 @@ class TopDownCostModel:
     def __init__(self, grammar: ProbabilisticGrammar) -> None:
         self._grammar = grammar
         self._completion = completion_costs(grammar)
-        # Keyed by name: string hashes are cached, dataclass hashes are not.
-        self._completion_by_name = {
-            nonterminal.name: cost for nonterminal, cost in self._completion.items()
-        }
 
     def production_cost(self, production: Production) -> float:
         return -math.log2(max(self._grammar.probability(production), _PROBABILITY_FLOOR))
 
-    def completion_cost(self, symbols: Sequence[Symbol], start: int = 0) -> float:
-        """``g(x)``: minimal cost of completing every open non-terminal.
+    def completion_cost(self, alphabet: Sequence[Symbol]) -> Callable[[str], float]:
+        """``g(x)`` of the forms of one search; see :func:`interned_completion_cost`."""
+        return interned_completion_cost(alphabet, self._completion)
 
-        The sum of :func:`heuristic_completion_cost`, term for term.  The
-        caller may pass the leftmost non-terminal's index as *start*: the
-        terminals before it add nothing, so the float sum is unchanged.
-        """
-        total = 0.0
-        costs = self._completion_by_name
-        for index in range(start, len(symbols)):
-            symbol = symbols[index]
-            if type(symbol) is NonTerminal:
-                total += costs.get(symbol.name, _UNKNOWN_COMPLETION_COST)
+
+#: Cap on a search's completion-cost memo, as for the penalty memo.
+_COMPLETION_MEMO_LIMIT = 262_144
+
+
+def interned_completion_cost(
+    alphabet: Sequence[Symbol], costs: Mapping[NonTerminal, float]
+) -> Callable[[str], float]:
+    """``g(x)`` over forms interned against *alphabet*: ``g(open_codes)``.
+
+    The minimal cost of completing every open non-terminal of a form, given
+    their codes in order (a form's ``open_codes``), with *costs* giving each
+    one's (the map of :func:`repro.grammars.completion_costs`).  It is
+    :func:`repro.grammars.heuristic_completion_cost` term for term: the open
+    non-terminals are summed from the leftmost one on with a plain
+    left-to-right ``+=``, so the float is the same bit for bit.  (Never
+    builtin ``sum()``: since Python 3.12 it compensates, which changes the
+    low bits and with them the A* queue order.)  Sums are memoized per
+    string of open non-terminals.
+    """
+    per_code = {
+        chr(code): costs.get(symbol, _UNKNOWN_COMPLETION_COST)
+        for code, symbol in enumerate(alphabet)
+        if type(symbol) is NonTerminal
+    }
+    memo: Dict[str, float] = {}
+
+    def completion_cost(open_codes: str) -> float:
+        total = memo.get(open_codes)
+        if total is None:
+            total = 0.0
+            for code in open_codes:
+                total += per_code[code]
+            if len(memo) >= _COMPLETION_MEMO_LIMIT:
+                memo.clear()
+            memo[open_codes] = total
         return total
+
+    return completion_cost
 
 
 class BottomUpCostModel:
@@ -115,25 +137,24 @@ class BottomUpCostModel:
         return total
 
 
-def count_rhs_tensors(symbols: Sequence[Symbol]) -> int:
-    """Number of already-placed operand tokens on the right-hand side.
+def rhs_tensor_counter(alphabet: Sequence[Symbol]) -> Callable[[str], int]:
+    """``count_rhs_tensors(codes)`` over forms interned against *alphabet*.
 
-    Counts terminal tokens after the ``=`` sign that are not operators or
+    The number of already-placed operand tokens on the right-hand side:
+    terminal tokens after the ``=`` sign that are not operators or
     parentheses — exactly the tensors/constants the bottom-up chain has
     emitted so far.
     """
-    seen_assign = False
-    count = 0
-    for symbol in symbols:
-        if is_nonterminal(symbol):
-            continue
-        token = str(symbol)
-        if token == "=":
-            seen_assign = True
-            continue
-        if not seen_assign:
-            continue
-        if token in ("+", "-", "*", "/", "(", ")"):
-            continue
-        count += 1
-    return count
+    not_operands = {
+        code: None
+        for code, symbol in enumerate(alphabet)
+        if type(symbol) is NonTerminal or symbol in ("=", "+", "-", "*", "/", "(", ")")
+    }
+    # Without an "=" in the grammar, a code outside the alphabet: never found.
+    assign = chr(alphabet.index("=") if "=" in alphabet else len(alphabet))
+
+    def count_rhs_tensors(codes: str) -> int:
+        at = codes.find(assign)
+        return 0 if at < 0 else len(codes[at + 1 :].translate(not_operands))
+
+    return count_rhs_tensors

@@ -9,7 +9,9 @@ An infinite penalty effectively removes the template from consideration.
 Penalties are computed over a light-weight *view* of the partial template —
 its operand tokens, operator tokens and completeness — extracted from the
 symbols of the sentential form, so they are cheap to evaluate on every queue
-insertion.
+insertion.  A search scores its interned forms through
+:meth:`PenaltyEvaluator.memoized`, which reads each code's role from a table
+built once per search.
 
 Criteria interpretation notes (the paper states them informally):
 
@@ -25,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..grammars import Symbol, is_terminal
 from ..taco.grammar import CONST_TOKEN, OPERATOR_TOKENS
@@ -124,22 +126,38 @@ class TemplateView:
         return False
 
 
-def view_from_symbols(symbols: Sequence[Symbol]) -> TemplateView:
-    """Build a :class:`TemplateView` from the symbols of a sentential form."""
+#: The roles a symbol plays in a :class:`TemplateView`.
+_OPEN, _SKIP, _OPERATOR, _OPERAND = range(4)
+
+
+def symbol_role(symbol: Symbol) -> Tuple[int, str]:
+    """``(role, token)`` of one sentential-form symbol for :func:`view_from_symbols`."""
+    if not is_terminal(symbol):
+        return _OPEN, ""
+    token = str(symbol)
+    if token in ("=", "(", ")"):
+        return _SKIP, token
+    return (_OPERATOR if token in OPERATOR_TOKENS else _OPERAND), token
+
+
+def view_from_symbols(
+    symbols: Iterable, role: Callable[..., Tuple[int, str]] = symbol_role
+) -> TemplateView:
+    """Build a :class:`TemplateView` from the symbols of a sentential form.
+
+    *role* maps each item of *symbols* to its ``(role, token)``; by default
+    the items are grammar symbols, classified by :func:`symbol_role`.
+    """
     operands: List[str] = []
     operators: List[str] = []
     complete = True
-    for symbol in symbols:
-        if not is_terminal(symbol):
-            complete = False
-            continue
-        token = str(symbol)
-        if token in ("=", "(", ")"):
-            continue
-        if token in OPERATOR_TOKENS:
-            operators.append(token)
-        else:
+    for kind, token in map(role, symbols):
+        if kind == _OPERAND:
             operands.append(token)
+        elif kind == _OPERATOR:
+            operators.append(token)
+        elif kind == _OPEN:
+            complete = False
     return TemplateView(tuple(operands), tuple(operators), complete)
 
 
@@ -285,19 +303,13 @@ _CRITERIA = {
 }
 
 
-#: Cap on the per-evaluator penalty memo; reached only by pathological
+#: Cap on a search's penalty memo; reached only by pathological
 #: searches, in which case the memo is simply dropped and rebuilt.
 _PENALTY_MEMO_LIMIT = 262_144
 
 
 class PenaltyEvaluator:
-    """Evaluates the total penalty ``X(x)`` for a search style.
-
-    ``evaluate`` is memoized on the symbol tuple: the A* searches score every
-    candidate expansion, and distinct derivation paths keep producing the
-    same sentential forms, so the view construction and criteria walk run
-    once per distinct form instead of once per enqueue attempt.
-    """
+    """Evaluates the total penalty ``X(x)`` for a search style."""
 
     def __init__(
         self,
@@ -308,21 +320,39 @@ class PenaltyEvaluator:
         self._context = context
         self._config = config or PenaltyConfig()
         self._criteria = tuple(c for c in criteria if self._config.enabled(c))
-        self._memo: Dict[Tuple[Symbol, ...], float] = {}
 
     @property
     def active_criteria(self) -> Tuple[str, ...]:
         return self._criteria
 
-    def evaluate(self, symbols: Sequence[Symbol]) -> float:
-        key = tuple(symbols)
-        cached = self._memo.get(key)
-        if cached is not None:
+    def memoized(self, alphabet: Sequence[Symbol]) -> Callable[[str], float]:
+        """``X(x)`` of a form interned against *alphabet*, memoized per form.
+
+        Code ``chr(i)`` stands for ``alphabet[i]``.  The A* searches score
+        every candidate expansion, and distinct derivation paths keep
+        producing the same sentential forms, so the view construction and
+        criteria walk run once per distinct form instead of once per enqueue
+        attempt.  One search owns the returned function: codes mean nothing
+        across grammars.
+        """
+        role = {chr(code): symbol_role(symbol) for code, symbol in enumerate(alphabet)}
+        memo: Dict[str, float] = {}
+        # Forms differing only in their non-terminals often share a view.
+        by_view: Dict[TemplateView, float] = {}
+
+        def penalty(codes: str) -> float:
+            cached = memo.get(codes)
+            if cached is None:
+                view = view_from_symbols(codes, role.__getitem__)
+                cached = by_view.get(view)
+                if cached is None:
+                    cached = by_view[view] = self.evaluate_view(view)
+                if len(memo) >= _PENALTY_MEMO_LIMIT:
+                    memo.clear()
+                    by_view.clear()
+                memo[codes] = cached
             return cached
-        penalty = self.evaluate_view(view_from_symbols(key))
-        if len(self._memo) >= _PENALTY_MEMO_LIMIT:
-            self._memo.clear()
-        self._memo[key] = penalty
+
         return penalty
 
     def evaluate_view(self, view: TemplateView) -> float:

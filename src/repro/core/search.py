@@ -6,7 +6,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from ..grammars import ContextFreeGrammar, GrammarError, NonTerminal, Production, Symbol
 from ..taco import TacoProgram
@@ -101,117 +101,209 @@ EXPRESSION_NONTERMINALS = frozenset({"EXPR"})
 
 
 class Expansion(NamedTuple):
-    """A production with what splicing it into a form needs, precomputed."""
+    """A production of an :class:`InternedGrammar`, ready to splice."""
 
-    production: Production
-    #: Per right-hand-side symbol: 1 for an expression non-terminal, else 0.
-    bumps: Tuple[int, ...]
+    #: The right-hand side, one code point per symbol.
+    rhs: str
+    #: The right-hand side's non-terminals, in order.
+    open_codes: str
     #: Offset of the first non-terminal in the right-hand side, or None.
     first: Optional[int]
-
-    @classmethod
-    def of(cls, production: Production) -> "Expansion":
-        rhs = production.rhs
-        bumps = tuple(
-            int(type(symbol) is NonTerminal and symbol.name in EXPRESSION_NONTERMINALS)
-            for symbol in rhs
-        )
-        first = next(
-            (offset for offset, symbol in enumerate(rhs) if type(symbol) is NonTerminal), None
-        )
-        return cls(production, bumps, first)
+    #: The step cost ``c`` of applying the production.
+    cost: float
+    #: Per parent level code, the right-hand side's level codes and their
+    #: maximum (None for an epsilon production); filled on first use, since
+    #: the bottom-up search has no depth limit.
+    levels: Dict[str, Tuple[str, Optional[int]]]
 
 
-def expansion_table(
-    grammar: ContextFreeGrammar, production_cost: Callable[[Production], float]
-) -> Dict[str, Tuple[Tuple[Expansion, float], ...]]:
-    """Per non-terminal name, its productions as ``(expansion, step cost)``.
+class InternedGrammar:
+    """A grammar with every symbol interned to one code point, for one search.
 
-    Built once per search, so the expansion loop neither hashes productions
-    nor takes logarithms.
+    Non-terminals get codes ``0..N-1`` in definition order and terminals
+    ``N..`` in order of first appearance, so a sentential form is a ``str``
+    with one character per symbol: its hash is cached, and slicing,
+    concatenation, ``find`` and ``translate`` all run in C.  Codes mean
+    nothing across grammars, so every table keyed by them (the expansions,
+    the penalty and completion-cost memos) belongs to one search.
     """
-    return {
-        nonterminal.name: tuple(
-            (Expansion.of(production), production_cost(production))
-            for production in grammar.productions_for(nonterminal)
+
+    __slots__ = ("alphabet", "nonterminal_count", "start", "expansions", "_codes", "_expression")
+
+    def __init__(
+        self, grammar: ContextFreeGrammar, production_cost: Callable[[Production], float]
+    ) -> None:
+        nonterminals = grammar.nonterminals
+        #: The symbol of each code: ``alphabet[ord(code)]``.
+        self.alphabet: Tuple[Symbol, ...] = nonterminals + grammar.terminals
+        self.nonterminal_count = len(nonterminals)
+        self._codes = {symbol: chr(index) for index, symbol in enumerate(self.alphabet)}
+        self._expression = frozenset(
+            self._codes[symbol]
+            for symbol in nonterminals
+            if symbol.name in EXPRESSION_NONTERMINALS
         )
-        for nonterminal in grammar.nonterminals
-    }
+        self.start = self._codes[grammar.start]
+        #: Per non-terminal code, its productions in grammar order.  Built
+        #: once per search, so the expansion loop neither hashes productions
+        #: nor takes logarithms.
+        self.expansions: Dict[str, Tuple[Expansion, ...]] = {}
+        for nonterminal in nonterminals:
+            entries = []
+            for production in grammar.productions_for(nonterminal):
+                rhs = self.encode(production.rhs)
+                opened = [
+                    offset for offset, code in enumerate(rhs)
+                    if ord(code) < self.nonterminal_count
+                ]
+                entries.append(Expansion(
+                    rhs,
+                    "".join(rhs[offset] for offset in opened),
+                    opened[0] if opened else None,
+                    production_cost(production),
+                    {},
+                ))
+            self.expansions[self._codes[nonterminal]] = tuple(entries)
+
+    def encode(self, symbols: Iterable[Symbol]) -> str:
+        """The code string of *symbols*; raises on a symbol of another grammar."""
+        try:
+            return "".join([self._codes[symbol] for symbol in symbols])
+        except KeyError as error:
+            raise GrammarError(f"symbol {error.args[0]} is not in the grammar") from None
+
+    def decode(self, codes: str) -> Tuple[Symbol, ...]:
+        """The symbols of a code string."""
+        return tuple(map(self.alphabet.__getitem__, map(ord, codes)))
+
+    def level_segment(self, codes: str, level: str) -> Tuple[str, Optional[int]]:
+        """The level codes of *codes* spliced in under a parent at *level*,
+        with their maximum (None when *codes* is empty)."""
+        base = ord(level)
+        bumps = [code in self._expression for code in codes]
+        segment = "".join([chr(base + bump) for bump in bumps])
+        return segment, (base + max(bumps) if bumps else None)
 
 
 class SententialForm:
     """A partial template as the searches see it: a leftmost-derivation state.
 
-    The score ``f(x) = c(x) + g(x) + X(x)`` of Sections 5.1/5.2 reads only
-    three facts of a partial derivation, so a form carries exactly those and
-    no derivation tree:
+    The score ``f(x) = c(x) + g(x) + X(x)`` of Sections 5.1/5.2 reads only a
+    few facts of a partial derivation, so a form carries exactly those and no
+    derivation tree, interned against its :class:`InternedGrammar`:
 
-    * ``symbols`` — the yield: terminal tokens and unexpanded non-terminals;
-    * ``levels`` — per symbol, the number of expression non-terminals
-      (:data:`EXPRESSION_NONTERMINALS`) enclosing it in the derivation, an
-      unexpanded one counting itself; their maximum is the expression depth;
+    * ``codes`` — the yield, one code point per terminal token or unexpanded
+      non-terminal;
+    * ``level_codes`` — per symbol, ``chr`` of the number of expression
+      non-terminals (:data:`EXPRESSION_NONTERMINALS`) enclosing it in the
+      derivation, an unexpanded one counting itself; their maximum is the
+      expression depth (kept up to date, see :meth:`depth`);
+    * ``open_codes`` — the unexpanded non-terminals in order, which ``g(x)``
+      reads; the first one is the leftmost;
     * ``position`` — the index of the leftmost non-terminal, ``None`` once the
-      form is a complete sentence.
+      form is a complete sentence;
+    * ``cost`` — ``c(x)``, the summed step costs of the expansions applied.
 
     Forms are immutable.  :meth:`apply` splices a right-hand side in at
-    ``position`` and looks for the next leftmost non-terminal from the end of
-    the splice only, since every symbol left of it is a terminal.
+    ``position``.  When the right-hand side has no non-terminal, the next
+    leftmost one is the old second open non-terminal, found by one ``find``
+    of its code from the end of the splice: every symbol before it is a
+    terminal.  The ``symbols`` and ``levels`` properties decode a form for
+    tests and debugging; the searches never call them.
     """
 
-    __slots__ = ("symbols", "levels", "position")
+    __slots__ = ("grammar", "codes", "level_codes", "open_codes", "position", "_depth", "cost")
 
     def __init__(
         self,
-        symbols: Tuple[Symbol, ...],
-        levels: Tuple[int, ...],
+        grammar: InternedGrammar,
+        codes: str,
+        level_codes: str,
+        open_codes: str,
         position: Optional[int],
+        depth: int,
+        cost: float,
     ) -> None:
-        self.symbols = symbols
-        self.levels = levels
+        self.grammar = grammar
+        self.codes = codes
+        self.level_codes = level_codes
+        self.open_codes = open_codes
         self.position = position
+        self._depth = depth
+        self.cost = cost
 
     @classmethod
-    def start(cls, symbol: NonTerminal) -> "SententialForm":
-        """The one-symbol form a derivation from *symbol* starts at."""
-        return cls((symbol,), (int(symbol.name in EXPRESSION_NONTERMINALS),), 0)
+    def start(cls, grammar: InternedGrammar) -> "SententialForm":
+        """The one-symbol form a derivation from the start symbol starts at."""
+        level_codes, depth = grammar.level_segment(grammar.start, "\x00")
+        return cls(grammar, grammar.start, level_codes, grammar.start, 0, depth, 0.0)
+
+    @property
+    def symbols(self) -> Tuple[Symbol, ...]:
+        """The decoded yield."""
+        return self.grammar.decode(self.codes)
+
+    @property
+    def levels(self) -> Tuple[int, ...]:
+        """The decoded per-symbol expression-nesting levels."""
+        return tuple(map(ord, self.level_codes))
 
     @property
     def leftmost(self) -> Optional[NonTerminal]:
         """The leftmost non-terminal, the one an expansion rewrites."""
-        return None if self.position is None else self.symbols[self.position]
+        if not self.open_codes:
+            return None
+        return self.grammar.alphabet[ord(self.open_codes[0])]  # type: ignore[return-value]
 
     def depth(self) -> int:
         """The expression depth the search's depth limit is checked against."""
-        return max(self.levels, default=0)
+        return self._depth
 
     def expand(self, production: Production) -> "SententialForm":
         """The form with *production* applied to the leftmost non-terminal."""
         if self.position is None:
             raise GrammarError("cannot expand a complete sentential form")
-        if self.symbols[self.position] != production.lhs:
+        if self.leftmost != production.lhs:
             raise GrammarError(
-                f"leftmost non-terminal is {self.symbols[self.position]}, "
+                f"leftmost non-terminal is {self.leftmost}, "
                 f"production expands {production.lhs}"
             )
-        return self.apply(Expansion.of(production))
+        rhs = self.grammar.encode(production.rhs)
+        for expansion in self.grammar.expansions[self.open_codes[0]]:
+            if expansion.rhs == rhs:
+                return self.apply(expansion)
+        raise GrammarError(f"{production} is not a production of the grammar")
 
     def apply(self, expansion: Expansion) -> "SententialForm":
-        """:meth:`expand` without its checks, for a production the caller
+        """:meth:`expand` without its checks, for an expansion the caller
         took from the grammar's alternatives for :attr:`leftmost`."""
         position = self.position
-        rhs = expansion.production.rhs
-        symbols = self.symbols[:position] + rhs + self.symbols[position + 1 :]
-        levels = (
-            self.levels[:position]
-            + tuple(map(self.levels[position].__add__, expansion.bumps))
-            + self.levels[position + 1 :]
-        )
+        level = self.level_codes[position]
+        rhs = expansion.rhs
+        spliced = expansion.levels.get(level)
+        if spliced is None:
+            spliced = expansion.levels[level] = self.grammar.level_segment(rhs, level)
+        segment, top = spliced
+        # Every symbol left of the leftmost non-terminal is a terminal, so
+        # the first occurrence of its code is the one to rewrite.
+        codes = self.codes.replace(self.open_codes[0], rhs, 1)
+        level_codes = self.level_codes[:position] + segment + self.level_codes[position + 1 :]
+        depth = self._depth
+        if top is None:  # epsilon: the removed symbol may have been the deepest
+            depth = ord(max(level_codes)) if level_codes else 0
+        elif top > depth:
+            depth = top
+        open_codes = expansion.open_codes + self.open_codes[1:]
         if expansion.first is not None:
-            return SententialForm(symbols, levels, position + expansion.first)
-        for index in range(position + len(rhs), len(symbols)):
-            if type(symbols[index]) is NonTerminal:
-                return SententialForm(symbols, levels, index)
-        return SententialForm(symbols, levels, None)
+            position += expansion.first
+        elif open_codes:
+            position = codes.find(open_codes[0], position + len(rhs))
+        else:
+            position = None
+        return SententialForm(
+            self.grammar, codes, level_codes, open_codes, position, depth,
+            self.cost + expansion.cost,
+        )
 
     def tokens(self) -> Tuple[str, ...]:
         """The sentence of a complete form.  Raises on a partial one."""
@@ -228,18 +320,20 @@ class VisitedForms:
 
     Two kinds of duplicates are recognised:
 
-    * **Partial states**, keyed on the yield symbols *plus* the per-element
-      expression-nesting levels.  Two partial forms that agree on both are
-      interchangeable: every future expansion splices into the yield at
-      positions and nesting levels determined entirely by that state, so
-      they derive exactly the same completions at the same future costs and
-      expression depths.  A new occurrence is pruned when an equally cheap
-      copy of the same state is already enqueued.
+    * **Partial states**, keyed on the yield *plus* the per-element
+      expression-nesting levels (a form's ``codes`` and ``level_codes``).
+      Two partial forms that agree on both are interchangeable: every future
+      expansion splices into the yield at positions and nesting levels
+      determined entirely by that state, so they derive exactly the same
+      completions at the same future costs and expression depths.  A new
+      occurrence is pruned when an equally cheap copy of the same state is
+      already enqueued.
 
-    * **Complete forms**, keyed on the yield alone.  A complete form's token
-      string fully determines the candidate template (the parser, not the
-      derivation structure, fixes the semantics), so a second derivation of
-      the same sentence is redundant — this is where the grammar's ambiguity
+    * **Complete forms**, keyed on the yield (``codes``) alone and recorded
+      with their expression depth.  A complete form's token string fully
+      determines the candidate template (the parser, not the derivation
+      structure, fixes the semantics), so a second derivation of the same
+      sentence is redundant — this is where the grammar's ambiguity
       (operator chains derive left- and right-nested) actually bites.  The
       duplicate is pruned when the recorded copy is no more expensive and
       will really be checked (its expression depth fits the search's depth
@@ -269,8 +363,7 @@ class VisitedForms:
         self._partial[key] = cost if best is None else min(cost, best)
         return False
 
-    def should_prune_complete(self, symbols, levels, cost: float) -> bool:
-        depth = max(levels, default=0)
+    def should_prune_complete(self, symbols, depth: int, cost: float) -> bool:
         if len(self._complete) >= self.MAX_ENTRIES:
             self._complete.clear()
         entry = self._complete.get(symbols)

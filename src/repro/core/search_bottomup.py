@@ -15,24 +15,24 @@ dimension list; fully epsilon-closed (complete) forms are always checked.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional
 
-from ..grammars import ProbabilisticGrammar, Symbol, is_nonterminal
+from ..grammars import ProbabilisticGrammar
 from ..taco.errors import TacoError
 from ..taco.parser import parse_program
-from .costs import BottomUpCostModel, count_rhs_tensors
+from .costs import BottomUpCostModel, rhs_tensor_counter
 from .dimension_list import DimensionList
 from .events import safe_notify
 from .penalties import PenaltyEvaluator
 from .search import (
     CandidateChecker,
     Deadline,
+    InternedGrammar,
     PriorityQueue,
     SearchLimits,
     SearchOutcome,
     SententialForm,
     VisitedForms,
-    expansion_table,
 )
 
 
@@ -65,12 +65,24 @@ class BottomUpSearch:
         progress_interval = self._limits.progress_interval if observer is not None else 0
         queue = PriorityQueue()
         checked: set[str] = set()
+        seen: set[str] = set()
         visited = VisitedForms() if self._limits.prune_duplicates else None
-        table = expansion_table(self._grammar, self._costs.production_cost)
-        root = SententialForm.start(self._grammar.start)
+        grammar = InternedGrammar(self._grammar, self._costs.production_cost)
+        expansions = grammar.expansions
+        penalty_of = self._penalties.memoized(grammar.alphabet)
+        count_rhs_tensors = rhs_tensor_counter(grammar.alphabet)
+        # Per-code tables of truncation: the codes of the TAIL non-terminals
+        # it drops, and a translate table deleting every non-terminal.
+        tails = grammar.encode(
+            symbol
+            for symbol in grammar.alphabet[: grammar.nonterminal_count]
+            if symbol.name.startswith("TAIL")
+        )
+        drop_open = dict.fromkeys(range(grammar.nonterminal_count))
+        root = SententialForm.start(grammar)
         # Queue items carry the number of right-hand-side tensors placed,
         # which the heuristic already counted when the form was enqueued.
-        queue.push(0.0, (root, 0.0, count_rhs_tensors(root.symbols)))
+        queue.push(0.0, (root, count_rhs_tensors(root.codes)))
         target_tensors = len(self._dimension_list)
 
         while queue:
@@ -79,7 +91,7 @@ class BottomUpSearch:
                 break
             if outcome.nodes_expanded >= self._limits.max_expansions:
                 break
-            _priority, (form, accumulated_cost, placed) = queue.pop()
+            _priority, (form, placed) = queue.pop()
             outcome.nodes_expanded += 1
             if progress_interval and outcome.nodes_expanded % progress_interval == 0:
                 safe_notify(observer, outcome.heartbeat(deadline.elapsed()))
@@ -87,11 +99,13 @@ class BottomUpSearch:
             complete = form.position is None
             tensors_in_form = placed + 1  # + LHS tensor
             should_check = complete or (
-                tensors_in_form >= target_tensors and self._truncatable(form)
+                tensors_in_form >= target_tensors and self._truncatable(form, tails)
             )
             if should_check:
-                tokens = self._truncate(form.symbols)
-                if tokens is not None and self._try_candidate(tokens, outcome, checked):
+                codes = self._truncate(form, tails, drop_open)
+                if codes is not None and self._try_candidate(
+                    grammar, codes, outcome, checked, seen
+                ):
                     outcome.elapsed_seconds = deadline.elapsed()
                     return outcome
                 if outcome.candidates_tried >= self._limits.max_candidates:
@@ -99,24 +113,23 @@ class BottomUpSearch:
                 if complete:
                     continue
 
-            for expansion, step_cost in table[form.leftmost.name]:
-                cost = accumulated_cost + step_cost
+            for expansion in expansions[form.open_codes[0]]:
                 child = form.apply(expansion)
-                symbols, levels = child.symbols, child.levels
+                codes, cost = child.codes, child.cost
                 if visited is not None:
                     if (
-                        visited.should_prune_complete(symbols, levels, cost)
-                        if child.position is None
-                        else visited.should_prune(symbols, levels, cost)
+                        visited.should_prune(codes, child.level_codes, cost)
+                        if child.open_codes
+                        else visited.should_prune_complete(codes, child.depth(), cost)
                     ):
                         outcome.duplicates_pruned += 1
                         continue
-                penalty = self._penalties.evaluate(symbols)
+                penalty = penalty_of(codes)
                 if math.isinf(penalty):
                     continue
-                child_placed = count_rhs_tensors(symbols)
+                child_placed = count_rhs_tensors(codes)
                 heuristic = self._costs.completion_cost(child_placed)
-                queue.push(cost + heuristic + penalty, (child, cost, child_placed))
+                queue.push(cost + heuristic + penalty, (child, child_placed))
 
         outcome.exhausted = not queue and not outcome.timed_out
         outcome.elapsed_seconds = deadline.elapsed()
@@ -126,33 +139,33 @@ class BottomUpSearch:
     # Truncation helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _truncatable(form: SententialForm) -> bool:
+    def _truncatable(form: SententialForm, tails: str) -> bool:
         """True when the only non-terminals left are trailing TAIL symbols."""
-        for symbol in form.symbols[form.position :]:
-            if is_nonterminal(symbol) and not str(symbol).startswith("TAIL"):
-                return False
-        return True
+        return not form.open_codes.strip(tails)
 
-    @staticmethod
-    def _truncate(symbols: Tuple[Symbol, ...]) -> Optional[List[str]]:
-        """Drop trailing TAIL non-terminals, yielding the complete token list."""
-        tokens: List[str] = []
-        for symbol in symbols:
-            if is_nonterminal(symbol):
-                if str(symbol).startswith("TAIL"):
-                    continue
-                return None
-            tokens.append(str(symbol))
-        return tokens
+    @classmethod
+    def _truncate(cls, form: SententialForm, tails: str, drop_open: dict) -> Optional[str]:
+        """Drop trailing TAIL non-terminals, yielding the complete form's codes."""
+        return form.codes.translate(drop_open) if cls._truncatable(form, tails) else None
 
     # ------------------------------------------------------------------ #
     # Candidate handling
     # ------------------------------------------------------------------ #
     def _try_candidate(
-        self, tokens: List[str], outcome: SearchOutcome, checked: set
+        self,
+        grammar: InternedGrammar,
+        codes: str,
+        outcome: SearchOutcome,
+        checked: set,
+        seen: set,
     ) -> bool:
+        # Parsing is pure: a token string seen before was either unparsable
+        # or already checked (and failed, or the search would have ended).
+        if codes in seen:
+            return False
+        seen.add(codes)
         try:
-            template = parse_program(" ".join(tokens))
+            template = parse_program(" ".join(grammar.decode(codes)))
         except TacoError:
             return False
         key = str(template)

@@ -10,7 +10,9 @@ it pops the form with minimal score ``f(x) = c(x) + g(x) + X(x)``:
   their leftmost non-terminal.
 
 Forms deeper than the configured depth limit are discarded, and forms whose
-penalty is infinite are never enqueued.
+penalty is infinite are never enqueued.  Forms are interned per search (see
+:class:`repro.core.search.InternedGrammar`); tokens are decoded only for a
+complete form about to be parsed.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from .penalties import PenaltyEvaluator
 from .search import (
     CandidateChecker,
     Deadline,
+    InternedGrammar,
     PriorityQueue,
     SearchLimits,
     SearchOutcome,
     SententialForm,
     VisitedForms,
-    expansion_table,
 )
 
 
@@ -63,15 +65,18 @@ class TopDownSearch:
         progress_interval = self._limits.progress_interval if observer is not None else 0
         queue = PriorityQueue()
         checked: set[str] = set()
+        seen: set[str] = set()
         visited = (
             VisitedForms(self._limits.max_depth)
             if self._limits.prune_duplicates
             else None
         )
 
-        table = expansion_table(self._grammar, self._costs.production_cost)
-        root = SententialForm.start(self._grammar.start)
-        queue.push(0.0, (root, 0.0))
+        grammar = InternedGrammar(self._grammar, self._costs.production_cost)
+        expansions = grammar.expansions
+        penalty_of = self._penalties.memoized(grammar.alphabet)
+        completion_cost = self._costs.completion_cost(grammar.alphabet)
+        queue.push(0.0, SententialForm.start(grammar))
 
         while queue:
             if deadline.expired():
@@ -79,7 +84,7 @@ class TopDownSearch:
                 break
             if outcome.nodes_expanded >= self._limits.max_expansions:
                 break
-            _priority, (form, accumulated_cost) = queue.pop()
+            _priority, form = queue.pop()
             outcome.nodes_expanded += 1
             if progress_interval and outcome.nodes_expanded % progress_interval == 0:
                 safe_notify(observer, outcome.heartbeat(deadline.elapsed()))
@@ -88,33 +93,30 @@ class TopDownSearch:
                 continue
 
             if form.position is None:
-                if self._try_candidate(form, outcome, checked):
+                if self._try_candidate(form, outcome, checked, seen):
                     outcome.elapsed_seconds = deadline.elapsed()
                     return outcome
                 if outcome.candidates_tried >= self._limits.max_candidates:
                     break
                 continue
 
-            for expansion, step_cost in table[form.leftmost.name]:
-                cost = accumulated_cost + step_cost
+            for expansion in expansions[form.open_codes[0]]:
                 child = form.apply(expansion)
-                symbols, levels = child.symbols, child.levels
+                codes, open_codes, cost = child.codes, child.open_codes, child.cost
                 if visited is not None:
                     if (
-                        visited.should_prune_complete(symbols, levels, cost)
-                        if child.position is None
-                        else visited.should_prune(symbols, levels, cost)
+                        visited.should_prune(codes, child.level_codes, cost)
+                        if open_codes
+                        else visited.should_prune_complete(codes, child.depth(), cost)
                     ):
                         outcome.duplicates_pruned += 1
                         continue
-                penalty = self._penalties.evaluate(symbols)
+                penalty = penalty_of(codes)
                 if math.isinf(penalty):
                     continue
-                if child.position is None:
-                    heuristic = 0.0
-                else:
-                    heuristic = self._costs.completion_cost(symbols, child.position)
-                queue.push(cost + heuristic + penalty, (child, cost))
+                # g("") = 0.0 for a complete form.
+                heuristic = completion_cost(open_codes)
+                queue.push(cost + heuristic + penalty, child)
 
         outcome.exhausted = not queue and not outcome.timed_out
         outcome.elapsed_seconds = deadline.elapsed()
@@ -124,8 +126,13 @@ class TopDownSearch:
     # Candidate handling
     # ------------------------------------------------------------------ #
     def _try_candidate(
-        self, form: SententialForm, outcome: SearchOutcome, checked: set
+        self, form: SententialForm, outcome: SearchOutcome, checked: set, seen: set
     ) -> bool:
+        # Parsing is pure: a token string seen before was either unparsable
+        # or already checked (and failed, or the search would have ended).
+        if form.codes in seen:
+            return False
+        seen.add(form.codes)
         try:
             template = from_tokens(form.tokens())
         except TacoError:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.search import SententialForm
+from repro.core.search import InternedGrammar, SententialForm
 from repro.grammars import (
     ContextFreeGrammar,
     GrammarError,
@@ -138,9 +138,14 @@ class TestAnalysis:
         assert derivable_nonterminals(pcfg)[loop] is False
 
 
+def start_form(grammar):
+    """The start form of *grammar*, interned with unit step costs."""
+    return SententialForm.start(InternedGrammar(grammar, lambda production: 1.0))
+
+
 def derive(grammar, productions):
     """Replay *productions* as a leftmost derivation from the start symbol."""
-    form = SententialForm.start(grammar.start)
+    form = start_form(grammar)
     for production in productions:
         form = form.expand(production)
     return form
@@ -160,12 +165,32 @@ class TestSententialForm:
         )
         assert form.position is None and form.leftmost is None
         assert form.tokens() == ("x", "+", "y")
+        assert form.cost == 5.0  # one unit step cost per production applied
 
     def test_expansion_is_persistent(self):
-        form = SententialForm.start(S)
+        form = start_form(simple_grammar())
         expanded = form.expand(Production(S, (E,)))
         assert form.leftmost == S and form.symbols == (S,)
         assert expanded.leftmost == E
+        assert (form.cost, expanded.cost) == (0.0, 1.0)
+
+    def test_one_code_point_per_symbol(self):
+        grammar = simple_grammar()
+        interned = InternedGrammar(grammar, lambda production: 1.0)
+        # Non-terminals first (codes 0..N-1), then terminals.
+        assert interned.alphabet == grammar.nonterminals + grammar.terminals
+        assert interned.nonterminal_count == len(grammar.nonterminals)
+        form = derive(grammar, [Production(S, (E,)), Production(E, (E, OP, E))])
+        assert len(form.codes) == len(form.symbols) == 3
+        assert interned.decode(interned.encode(form.symbols)) == form.symbols
+        assert form.open_codes == interned.encode((E, OP, E))
+
+    def test_symbols_outside_the_grammar_are_rejected(self):
+        form = start_form(simple_grammar())
+        with pytest.raises(GrammarError):
+            form.expand(Production(S, (NonTerminal("MISSING"),)))
+        with pytest.raises(GrammarError):
+            form.expand(Production(S, ("x",)))  # known symbols, unknown production
 
     def test_replay_matches_grammar_expand_leftmost(self):
         grammar = simple_grammar()
@@ -176,7 +201,7 @@ class TestSententialForm:
             Production(OP, ("*",)),
             Production(E, ("y",)),
         ]
-        form = SententialForm.start(grammar.start)
+        form = start_form(grammar)
         reference = (grammar.start,)
         for rule in rules:
             form = form.expand(rule)
@@ -187,7 +212,16 @@ class TestSententialForm:
 
     def test_expression_levels_and_depth(self):
         expr = NonTerminal("EXPR")
-        form = SententialForm.start(S)
+        grammar = ContextFreeGrammar(
+            S,
+            [
+                Production(S, (expr,)),
+                Production(expr, (expr, OP, expr)),
+                Production(expr, ("x",)),
+                Production(OP, ("+",)),
+            ],
+        )
+        form = start_form(grammar)
         form = form.expand(Production(S, (expr,)))
         assert form.levels == (1,)
         form = form.expand(Production(expr, (expr, OP, expr)))
@@ -208,7 +242,7 @@ class TestSententialForm:
 
     def test_yield_tokens_requires_completeness(self):
         with pytest.raises(GrammarError):
-            SententialForm.start(simple_grammar().start).tokens()
+            start_form(simple_grammar()).tokens()
 
 
 class TestPropertyBased:
@@ -230,7 +264,7 @@ class TestPropertyBased:
 
         rng = random.Random(seed)
         grammar = simple_grammar()
-        form = SententialForm.start(grammar.start)
+        form = start_form(grammar)
         for _ in range(200):
             if form.position is None:
                 break

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SearchLimits, StaggConfig, StaggSynthesizer, VerifierConfig
-from repro.core.search import SententialForm, VisitedForms, expansion_table
+from repro.core.search import InternedGrammar, SententialForm, VisitedForms
 from repro.grammars import NonTerminal
 from repro.llm import OracleConfig, SyntheticOracle
 from repro.suite import all_benchmarks
@@ -85,17 +85,17 @@ class TestVisitedFormPruning:
         visited = VisitedForms(max_depth=3)
         form = ("a(i)", "=", "b(i)", "+", "c(i)")
         # First derivation is too deep to ever be checked (depth 5 > 3)...
-        assert not visited.should_prune_complete(form, (1, 1, 5, 1, 5), cost=2.0)
+        assert not visited.should_prune_complete(form, 5, cost=2.0)
         # ...so an in-budget derivation of the same sentence must survive,
         # even at higher cost: it is the only copy the search will check.
-        assert not visited.should_prune_complete(form, (1, 1, 3, 1, 3), cost=4.0)
+        assert not visited.should_prune_complete(form, 3, cost=4.0)
         # Now a checkable copy is recorded: equal-or-worse-cost duplicates
         # are redundant (same tokens -> same template)...
-        assert visited.should_prune_complete(form, (1, 1, 2, 1, 2), cost=4.0)
+        assert visited.should_prune_complete(form, 2, cost=4.0)
         # ...as is any derivation the depth check would discard anyway.
-        assert visited.should_prune_complete(form, (1, 1, 6, 1, 6), cost=9.0)
+        assert visited.should_prune_complete(form, 6, cost=9.0)
         # A cheaper derivation still gets through.
-        assert not visited.should_prune_complete(form, (1, 1, 3, 1, 3), cost=1.0)
+        assert not visited.should_prune_complete(form, 3, cost=1.0)
 
 
 def _replay(start, productions):
@@ -151,30 +151,35 @@ class TestSententialFormExpansion:
     def test_expansion_matches_grammar_and_derivation_replay(self):
         """Spliced symbols, position and levels equal the references, everywhere."""
         grammar = self._topdown_grammar()
-        table = expansion_table(grammar, lambda production: 0.0)
-        frontier = [(SententialForm.start(grammar.start), ())]
+        cost = {production: float(n) for n, production in enumerate(grammar.productions)}
+        interned = InternedGrammar(grammar, cost.__getitem__)
+        frontier = [(SententialForm.start(interned), ())]
         seen = 0
         while frontier and seen < 300:
             form, applied = frontier.pop()
-            expansions = table[form.leftmost.name]
-            assert [e.production for e, _ in expansions] == list(
-                grammar.productions_for(form.leftmost)
-            )
-            for expansion, _cost in expansions:
-                production = expansion.production
+            expansions = interned.expansions[interned.encode([form.leftmost])]
+            productions = grammar.productions_for(form.leftmost)
+            assert [(interned.decode(e.rhs), e.cost) for e in expansions] == [
+                (p.rhs, cost[p]) for p in productions
+            ]
+            for expansion, production in zip(expansions, productions):
                 child = form.expand(production)
                 fast = form.apply(expansion)
-                assert (fast.symbols, fast.levels, fast.position) == (
-                    child.symbols, child.levels, child.position
+                assert (fast.symbols, fast.levels, fast.position, fast.cost) == (
+                    child.symbols, child.levels, child.position, child.cost
                 )
+                assert child.cost == form.cost + cost[production]
                 assert child.symbols == grammar.expand_leftmost(form.symbols, production)
                 assert child.leftmost == grammar.leftmost_nonterminal(child.symbols)
+                assert interned.decode(child.open_codes) == tuple(
+                    s for s in child.symbols if isinstance(s, NonTerminal)
+                )
                 if child.position is not None:
                     assert child.symbols[child.position] == child.leftmost
                     assert grammar.is_complete(child.symbols[: child.position])
                 levels, depth = _replay(grammar.start, applied + (production,))
                 assert child.levels == levels
-                assert child.depth() == depth
+                assert child.depth() == depth == max(levels, default=0)
                 seen += 1
                 if child.position is not None:
                     frontier.append((child, applied + (production,)))
@@ -182,7 +187,8 @@ class TestSententialFormExpansion:
 
     def test_depth_matches_tree_expression_depth_on_shallow_forms(self):
         grammar = self._topdown_grammar()
-        frontier = [(SententialForm.start(grammar.start), ())]
+        interned = InternedGrammar(grammar, lambda production: 0.0)
+        frontier = [(SententialForm.start(interned), ())]
         checked = 0
         while frontier and checked < 500:
             form, applied = frontier.pop()
@@ -211,8 +217,18 @@ class TestPenaltyMemoization:
             observed_operators=frozenset({"+", "*"}),
         )
         evaluator = PenaltyEvaluator.topdown(context)
-        symbols = ("a(i)", "=", "b(i)", "+", "c(i)")
-        first = evaluator.evaluate(symbols)
-        second = evaluator.evaluate(list(symbols))  # sequence type irrelevant
-        assert first == second
-        assert first == evaluator.evaluate_view(view_from_symbols(symbols))
+        expr = NonTerminal("EXPR")
+        alphabet = (expr, "a(i)", "=", "b(i)", "+", "c(i)", "-")
+        penalty = evaluator.memoized(alphabet)
+        for symbols in [
+            ("a(i)", "=", "b(i)", "+", "c(i)"),
+            ("a(i)", "=", "c(i)", "+", "b(i)"),  # a3: infinite
+            ("a(i)", "=", "b(i)", "-", "b(i)"),  # a4: infinite
+            ("a(i)", "=", "b(i)", "+", expr),
+            ("a(i)", "=", expr, "+", "c(i)"),
+        ]:
+            codes = "".join(chr(alphabet.index(symbol)) for symbol in symbols)
+            first = penalty(codes)
+            second = penalty(codes)  # from the memo
+            assert first == second
+            assert first == evaluator.evaluate_view(view_from_symbols(symbols))
