@@ -130,7 +130,7 @@ class TemplateView:
 _OPEN, _SKIP, _OPERATOR, _OPERAND = range(4)
 
 
-def symbol_role(symbol: Symbol) -> Tuple[int, str]:
+def _symbol_role(symbol: Symbol) -> Tuple[int, str]:
     """``(role, token)`` of one sentential-form symbol for :func:`view_from_symbols`."""
     if not is_terminal(symbol):
         return _OPEN, ""
@@ -141,12 +141,12 @@ def symbol_role(symbol: Symbol) -> Tuple[int, str]:
 
 
 def view_from_symbols(
-    symbols: Iterable, role: Callable[..., Tuple[int, str]] = symbol_role
+    symbols: Iterable, role: Callable[..., Tuple[int, str]] = _symbol_role
 ) -> TemplateView:
     """Build a :class:`TemplateView` from the symbols of a sentential form.
 
     *role* maps each item of *symbols* to its ``(role, token)``; by default
-    the items are grammar symbols, classified by :func:`symbol_role`.
+    the items are grammar symbols, classified as operand, operator, skipped or open.
     """
     operands: List[str] = []
     operators: List[str] = []
@@ -335,21 +335,15 @@ class PenaltyEvaluator:
         attempt.  One search owns the returned function: codes mean nothing
         across grammars.
         """
-        role = {chr(code): symbol_role(symbol) for code, symbol in enumerate(alphabet)}
+        role = {chr(code): _symbol_role(symbol) for code, symbol in enumerate(alphabet)}
         memo: Dict[str, float] = {}
-        # Forms differing only in their non-terminals often share a view.
-        by_view: Dict[TemplateView, float] = {}
 
         def penalty(codes: str) -> float:
             cached = memo.get(codes)
             if cached is None:
-                view = view_from_symbols(codes, role.__getitem__)
-                cached = by_view.get(view)
-                if cached is None:
-                    cached = by_view[view] = self.evaluate_view(view)
+                cached = self.evaluate_view(view_from_symbols(codes, role.__getitem__))
                 if len(memo) >= _PENALTY_MEMO_LIMIT:
                     memo.clear()
-                    by_view.clear()
                 memo[codes] = cached
             return cached
 

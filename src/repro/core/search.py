@@ -1,4 +1,14 @@
-"""Shared machinery for the two weighted A* template searches."""
+"""Shared machinery for the two weighted A* template searches.
+
+Each search interns its grammar first (:class:`InternedGrammar`): every
+symbol becomes one code point, non-terminals ``0..N-1`` and terminals
+``N..``.  A :class:`SententialForm` is then a handful of ``str`` values —
+the yield, the per-symbol expression levels and the open non-terminals —
+so splicing a production, the visited-form lookups (:class:`VisitedForms`),
+the penalty memo and the ``g(x)`` memo all run on C-level string slicing and
+cached string hashes.  Tokens are decoded only for a complete form about to
+be parsed into a candidate template.
+"""
 
 from __future__ import annotations
 
