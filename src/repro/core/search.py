@@ -1,13 +1,11 @@
 """Shared machinery for the two weighted A* template searches.
 
-Each search interns its grammar first (:class:`InternedGrammar`): every
-symbol becomes one code point, non-terminals ``0..N-1`` and terminals
-``N..``.  A :class:`SententialForm` is then a handful of ``str`` values —
-the yield, the per-symbol expression levels and the open non-terminals —
-so splicing a production, the visited-form lookups (:class:`VisitedForms`),
-the penalty memo and the ``g(x)`` memo all run on C-level string slicing and
-cached string hashes.  Tokens are decoded only for a complete form about to
-be parsed into a candidate template.
+Each search first interns its grammar (:class:`InternedGrammar`), so a
+:class:`SententialForm` is a few ``str`` values with one code point per
+symbol.  Splicing a production, the visited-form lookups
+(:class:`VisitedForms`) and the penalty and ``g(x)`` memos then run on C-level
+string operations and cached string hashes; tokens are decoded only for a
+complete form about to be parsed into a candidate template.
 """
 
 from __future__ import annotations
@@ -162,17 +160,13 @@ class InternedGrammar:
             entries = []
             for production in grammar.productions_for(nonterminal):
                 rhs = self.encode(production.rhs)
-                opened = [
-                    offset for offset, code in enumerate(rhs)
-                    if ord(code) < self.nonterminal_count
-                ]
-                entries.append(Expansion(
-                    rhs,
-                    "".join(rhs[offset] for offset in opened),
-                    opened[0] if opened else None,
-                    production_cost(production),
-                    {},
-                ))
+                open_codes = "".join(
+                    code for code in rhs if ord(code) < self.nonterminal_count
+                )
+                first = rhs.find(open_codes[0]) if open_codes else None
+                entries.append(
+                    Expansion(rhs, open_codes, first, production_cost(production), {})
+                )
             self.expansions[self._codes[nonterminal]] = tuple(entries)
 
     def encode(self, symbols: Iterable[Symbol]) -> str:
