@@ -230,6 +230,26 @@ class TestSententialForm:
         form = form.expand(Production(expr, ("x",)))
         assert form.levels == (2, 1, 2) and form.leftmost == OP
 
+    def test_epsilon_expansion_recomputes_depth(self):
+        """Erasing the deepest symbol lowers the depth to the deepest one left."""
+        expr, tail = NonTerminal("EXPR"), NonTerminal("TAIL")
+        grammar = ContextFreeGrammar(
+            S,
+            [
+                Production(S, ("x", expr)),
+                Production(expr, (tail,)),
+                Production(expr, ()),
+                Production(tail, ()),
+            ],
+        )
+        form = derive(grammar, [Production(S, ("x", expr))])
+        assert (form.levels, form.depth()) == ((0, 1), 1)
+        erased = form.expand(Production(expr, ()))
+        assert (erased.symbols, erased.levels, erased.depth()) == (("x",), (0,), 0)
+        assert erased.position is None
+        kept = form.expand(Production(expr, (tail,))).expand(Production(tail, ()))
+        assert (kept.levels, kept.depth(), kept.tokens()) == ((0,), 0, ("x",))
+
     def test_cannot_expand_complete_form(self):
         form = derive(simple_grammar(), [Production(S, (E,)), Production(E, ("x",))])
         with pytest.raises(GrammarError):
