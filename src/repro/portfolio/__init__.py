@@ -8,12 +8,13 @@ STAGG members — one LLM query, many searches.
 
 * :class:`PortfolioLifter` — the :class:`repro.lifting.Lifter` implementing
   the race (usable anywhere a method is: CLI, evaluation, HTTP service).
-* :class:`MemberScheduler` — the thread-based racing engine: per-member
-  sub-budgets carved from the shared deadline, first-win cancellation,
-  deterministic tie-break by member order.
-* :class:`ProcessMemberScheduler` — the same race across a process pool
-  (one core per member, cross-process cancel token), selected by building
-  the portfolio with ``ExecutionConfig(backend="processes")`` — see
+* :class:`MemberScheduler` — the race loop: per-member deadlines from the
+  shared window, first-win cancellation through one shared token, one
+  results queue and collector, deterministic tie-break by member order.
+  Members race on threads.
+* :class:`ProcessMemberScheduler` — the same loop with members in worker
+  processes (one core per member), selected by building the portfolio
+  with ``ExecutionConfig(backend="processes")`` — see
   :mod:`repro.lifting.executor`.
 * :mod:`.spec` — the ``Portfolio(A,B,...)`` name syntax
   (:func:`parse_portfolio_name`) and :func:`register_portfolio` for named

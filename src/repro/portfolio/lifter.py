@@ -36,6 +36,7 @@ from ..lifting.descriptor import describe_lifter
 from ..lifting.executor import ExecutionConfig
 from ..lifting.observer import LiftObserver
 from ..lifting.pipeline import PipelineState
+from .process_scheduler import ProcessMemberScheduler
 from .scheduler import MemberRun, MemberScheduler
 from .spec import portfolio_label
 
@@ -178,31 +179,17 @@ class PortfolioLifter:
             return report
 
         deadline = self._remaining_window(started)
-        if self._execution is not None and self._execution.uses_processes:
-            # Imported lazily: the process scheduler pulls in multiprocessing
-            # machinery that thread-raced portfolios never need.
-            from .process_scheduler import ProcessMemberScheduler
-
-            runs, winner = ProcessMemberScheduler(self._execution).race(
-                self._members,
-                task=task,
-                task_name=task.name,
-                shared_state=shared_state,
-                budget=budget,
-                deadline_seconds=deadline,
-                observer=observer,
-            )
-        else:
-            runs, winner = MemberScheduler().race(
-                [
-                    (name, self._runner_for(lifter, task, shared_state))
-                    for name, lifter in self._members
-                ],
-                task_name=task.name,
-                budget=budget,
-                deadline_seconds=deadline,
-                observer=observer,
-            )
+        uses_processes = self._execution is not None and self._execution.uses_processes
+        scheduler = ProcessMemberScheduler if uses_processes else MemberScheduler
+        runs, winner = scheduler().race(
+            self._members,
+            task=task,
+            task_name=task.name,
+            shared_state=shared_state,
+            budget=budget,
+            deadline_seconds=deadline,
+            observer=observer,
+        )
 
         self._assemble(report, runs, winner, prep_timings, shared_state is not None)
         if prep_error and not report.error and winner is None:
@@ -252,21 +239,6 @@ class PortfolioLifter:
         except Exception as error:  # noqa: BLE001 - degrade, don't abort
             return None, {}, f"{type(error).__name__}: {error}"
         return state, dict(prep_report.details.get("stage_timings", {})), ""
-
-    @staticmethod
-    def _runner_for(
-        lifter: object, task: LiftingTask, shared_state: Optional[PipelineState]
-    ):
-        """The callable one member races (fork-and-resume when sharable)."""
-        if shared_state is not None and hasattr(lifter, "lift_from_state"):
-            def run(budget, observer, _lifter=lifter):
-                return _lifter.lift_from_state(
-                    shared_state.fork(), budget=budget, observer=observer
-                )
-        else:
-            def run(budget, observer, _lifter=lifter):
-                return _lifter.lift(task, budget=budget, observer=observer)
-        return run
 
     def _remaining_window(self, started: float) -> Optional[float]:
         """The race's own deadline: the configured window minus prep time."""

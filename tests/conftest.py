@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import InputSpec, LiftingTask
+from repro.portfolio import MemberScheduler, ProcessMemberScheduler
 
 #: The worked example of Section 2.1 / Figure 2 of the paper: a dot product
 #: between each row of Mat1 and the vector Mat2, written with pointer
@@ -45,3 +46,9 @@ def figure2_task() -> LiftingTask:
         ),
         reference_solution="a(i) = b(i,j) * c(j)",
     )
+
+
+@pytest.fixture(params=[MemberScheduler, ProcessMemberScheduler], ids=["threads", "processes"])
+def race_scheduler(request):
+    """One scheduler per race backend: the race contract holds on both."""
+    return request.param()

@@ -210,9 +210,9 @@ class TestProcessMemberScheduler:
             (name, resolve_method(name, timeout_seconds=30.0, oracle_seed=2025))
             for name in ("STAGG_TD", "STAGG_BU")
         ]
-        runs, winner = ProcessMemberScheduler(
-            ExecutionConfig("processes", workers=2)
-        ).race(members, task=_task(), task_name="darknet.copy_cpu")
+        runs, winner = ProcessMemberScheduler().race(
+            members, task=_task(), task_name="darknet.copy_cpu"
+        )
         assert [run.name for run in runs] == ["STAGG_TD", "STAGG_BU"]
         assert winner is not None and winner.succeeded
         # Thread-scheduler parity: the winner is the lowest-index success.
@@ -226,9 +226,9 @@ class TestProcessMemberScheduler:
             ("crash", _ExitingLifter()),
             ("STAGG_TD", resolve_method("STAGG_TD", timeout_seconds=30.0, oracle_seed=2025)),
         ]
-        runs, winner = ProcessMemberScheduler(
-            ExecutionConfig("processes", workers=2)
-        ).race(members, task=_task(), task_name="darknet.copy_cpu", observer=observer)
+        runs, winner = ProcessMemberScheduler().race(
+            members, task=_task(), task_name="darknet.copy_cpu", observer=observer
+        )
         crashed = runs[0]
         assert "exitcode 3" in crashed.error
         assert crashed.report is None and not crashed.succeeded
@@ -239,3 +239,30 @@ class TestProcessMemberScheduler:
         lost = next(e for e in finished if e.member == "crash")
         assert lost.attrs["seconds"] == crashed.elapsed_seconds > 0
         assert _no_orphans()
+
+
+# ---------------------------------------------------------------------- #
+# The benchmark's wrap point
+# ---------------------------------------------------------------------- #
+class TestProcessRaceWrapPoint:
+    """liftbench's ``portfolio.race`` layer wraps ``ProcessMemberScheduler.race``.
+
+    A process-backed lift must call through that class attribute, or the
+    layer silently records nothing.
+    """
+
+    @pytest.mark.parametrize("backend, calls", [("processes", 1), ("threads", 0)])
+    def test_lift_races_through_the_process_race_attribute(
+        self, monkeypatch, backend, calls
+    ):
+        seen = []
+        original = ProcessMemberScheduler.race
+
+        def counted(self, *args, **kwargs):
+            seen.append(kwargs["task_name"])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessMemberScheduler, "race", counted)
+        report = _lift(PORTFOLIO, backend)
+        assert report.success
+        assert seen == ["darknet.copy_cpu"] * calls

@@ -10,14 +10,12 @@ digests, and a broken observer can no longer suppress sibling delivery.
 
 from __future__ import annotations
 
-import time
 import warnings
 
 import pytest
 
 from repro.cli import main as cli_main
 from repro.core.config import StaggConfig
-from repro.core.result import SynthesisReport
 from repro.core.search import SearchLimits
 from repro.lifting import (
     CompositeObserver,
@@ -31,8 +29,8 @@ from repro.lifting import (
 from repro.obs import TraceWriter, TracingObserver, dump_record, load_trace
 from repro.obs import trace as obs_trace
 from repro.obs.report import build_forest, find_span, render_summary, render_tree
-from repro.portfolio import MemberScheduler
 from repro.suite import get_benchmark
+from race_stubs import StubLifter
 
 
 def _task(name: str = "darknet.copy_cpu"):
@@ -180,19 +178,11 @@ class TestTracedPortfolio:
 # Race event ordering
 # ---------------------------------------------------------------------- #
 class TestRaceEventOrdering:
-    def test_winner_precedes_cancellations(self):
+    def test_winner_precedes_cancellations(self, race_scheduler):
         observer = RecordingObserver()
-
-        def fast(budget, obs):
-            return SynthesisReport(task_name="t", method="stub", success=True)
-
-        def slow(budget, obs):
-            while not budget.expired():
-                time.sleep(0.005)
-            return SynthesisReport(task_name="t", method="stub", success=False)
-
-        runs, winner = MemberScheduler().race(
-            [("fast", fast), ("slow", slow)], task_name="t", observer=observer
+        runs, winner = race_scheduler.race(
+            [("fast", StubLifter(True)), ("slow", StubLifter(False, until_cancelled=True))],
+            task="t", task_name="t", observer=observer,
         )
         assert winner is not None and winner.name == "fast"
         kinds = [event.name for event in observer.events]
@@ -205,6 +195,18 @@ class TestRaceEventOrdering:
         # member_started < portfolio_winner < member_cancelled: a trace
         # reader learns *why* the losers stopped.
         assert max(started) < winner_at < min(cancelled)
+
+    def test_member_events_precede_its_finish(self, race_scheduler):
+        observer = RecordingObserver()
+        race_scheduler.race(
+            [("a", StubLifter(True)), ("b", StubLifter(False, delay=0.05))],
+            task="t", task_name="t", observer=observer,
+        )
+        for member in ("a", "b"):
+            own = [e.name for e in observer.events if e.member == member]
+            # Forwarded events arrive with the member bound, in FIFO order.
+            assert own.index("member_started") < own.index("stage_started")
+            assert own.index("stage_started") < own.index("member_finished")
 
 
 # ---------------------------------------------------------------------- #

@@ -30,9 +30,10 @@ from repro.lifting import (
 )
 from repro.lifting.registry import _REGISTRY  # white-box: registration table
 from repro.llm import OracleConfig, SyntheticOracle
-from repro.portfolio import MemberScheduler, parse_portfolio_name, portfolio_label
+from repro.portfolio import parse_portfolio_name, portfolio_label
 from repro.service.digest import lift_digest
 from repro.suite import get_benchmark
+from race_stubs import StubLifter
 
 
 def _task(name: str = "darknet.copy_cpu"):
@@ -413,45 +414,43 @@ class TestPortfolioLift:
 
 
 class TestDeterministicTieBreak:
-    def _stub(self, success: bool, delay: float = 0.0):
-        def runner(budget, observer):
-            if delay:
-                time.sleep(delay)
-            return SynthesisReport(task_name="t", method="stub", success=success)
+    """The race contract, asserted identically on threads and processes."""
 
-        return runner
-
-    def test_lowest_index_wins_a_tie(self):
-        runs, winner = MemberScheduler().race(
-            [("first", self._stub(True)), ("second", self._stub(True))],
-            task_name="t",
+    def test_lowest_index_wins_a_tie(self, race_scheduler):
+        runs, winner = race_scheduler.race(
+            [("first", StubLifter(True)), ("second", StubLifter(True))],
+            task="t", task_name="t",
         )
         assert winner is not None and winner.name == "first"
 
-    def test_order_matters_not_finish_time_for_simultaneous_successes(self):
+    def test_order_matters_not_finish_time_for_simultaneous_successes(
+        self, race_scheduler
+    ):
         # Both members succeed (the second too quickly for the first's win
         # to cancel it deterministically); the tie-break is member order.
-        runs, winner = MemberScheduler().race(
-            [("a", self._stub(True, delay=0.05)), ("b", self._stub(True))],
-            task_name="t",
+        runs, winner = race_scheduler.race(
+            [("a", StubLifter(True, delay=0.05)), ("b", StubLifter(True))],
+            task="t", task_name="t",
         )
         assert winner.name == "a"
 
-    def test_failed_members_never_win(self):
-        runs, winner = MemberScheduler().race(
-            [("a", self._stub(False)), ("b", self._stub(True))],
-            task_name="t",
+    def test_failed_members_never_win(self, race_scheduler):
+        runs, winner = race_scheduler.race(
+            [("a", StubLifter(False)), ("b", StubLifter(True))],
+            task="t", task_name="t",
         )
         assert winner.name == "b"
 
-    def test_member_that_finished_before_the_win_is_not_cancelled(self):
-        # "a" fails genuinely well before "b" wins; the winner's cancellation
-        # sweep touches only still-running members, so "a" must report a
-        # plain failure (not cancelled) and no member_cancelled event fires.
+    def test_member_that_finished_before_the_win_is_not_cancelled(
+        self, race_scheduler
+    ):
+        # "a" fails genuinely well before "b" wins; its cancelled flag is
+        # its own snapshot at finish time, so "a" must report a plain
+        # failure (not cancelled) and no member_cancelled event fires.
         observer = RecordingObserver()
-        runs, winner = MemberScheduler().race(
-            [("a", self._stub(False)), ("b", self._stub(True, delay=0.2))],
-            task_name="t",
+        runs, winner = race_scheduler.race(
+            [("a", StubLifter(False)), ("b", StubLifter(True, delay=0.2))],
+            task="t", task_name="t",
             observer=observer,
         )
         assert winner.name == "b"
@@ -459,19 +458,37 @@ class TestDeterministicTieBreak:
         assert not failed.cancelled
         assert not any(e.name == "member_cancelled" for e in observer.events)
 
-    def test_runner_exception_is_contained(self):
-        def boom(budget, observer):
-            raise RuntimeError("member harness bug")
-
-        runs, winner = MemberScheduler().race(
-            [("a", boom), ("b", self._stub(True))], task_name="t"
+    def test_member_exception_is_contained(self, race_scheduler):
+        runs, winner = race_scheduler.race(
+            [
+                ("a", StubLifter(raises=RuntimeError("member harness bug"))),
+                ("b", StubLifter(True)),
+            ],
+            task="t", task_name="t",
         )
         assert winner.name == "b"
         assert "RuntimeError" in runs[0].error
 
-    def test_empty_race_rejected(self):
+    # A thread member dying of SystemExit trips pytest's unhandled-thread-
+    # exception hook; that death is exactly what this test provokes.
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_member_base_exception_is_declared_lost(self, race_scheduler):
+        # The member's worker ends without a result; the race must still
+        # return (not wait forever for it) and record the loss.
+        started = time.monotonic()
+        runs, winner = race_scheduler.race(
+            [("a", StubLifter(raises=SystemExit())), ("b", StubLifter(True))],
+            task="t", task_name="t",
+            budget=Budget(1.0),
+        )
+        assert time.monotonic() - started < 5.0
+        assert winner is not None and winner.name == "b"
+        assert "portfolio-t-a exited without a result" in runs[0].error
+        assert runs[0].report is None
+
+    def test_empty_race_rejected(self, race_scheduler):
         with pytest.raises(ValueError):
-            MemberScheduler().race([], task_name="t")
+            race_scheduler.race([], task="t", task_name="t")
 
 
 # ---------------------------------------------------------------------- #
