@@ -1,17 +1,19 @@
 """Shared machinery for the two weighted A* template searches.
 
 Each search first interns its grammar (:class:`InternedGrammar`), so a
-:class:`SententialForm` is a few ``str`` values with one code point per
-symbol.  Splicing a production, the visited-form lookups
-(:class:`VisitedForms`) and the penalty and ``g(x)`` memos then run on C-level
-string operations and cached string hashes; tokens are decoded only for a
-complete form about to be parsed into a candidate template.
+sentential form is a plain tuple (:data:`Form`): three ``str`` values with
+one code point per symbol, the leftmost position, the depth and ``c(x)``.
+Splicing a production, the visited-form lookups (:class:`VisitedForms`) and
+the penalty and ``g(x)`` memos then run on C-level string operations and
+cached string hashes; tokens are decoded only for a complete form about to
+be parsed into a candidate template.  The searches queue ``(priority, tie,
+form, ...)`` tuples on a plain ``heapq`` list.  A form holds no reference to
+its grammar, so the cyclic collector untracks forms and queue entries at
+the first collection that sees them and later passes skip the frontier.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
@@ -125,6 +127,11 @@ class Expansion(NamedTuple):
     levels: Dict[str, Tuple[str, Optional[int]]]
 
 
+#: A sentential form, as the searches queue it: ``(codes, level_codes,
+#: open_codes, position, depth, cost)``.  See :class:`InternedGrammar`.
+Form = Tuple[str, str, str, Optional[int], int, float]
+
+
 class InternedGrammar:
     """A grammar with every symbol interned to one code point, for one search.
 
@@ -134,6 +141,35 @@ class InternedGrammar:
     concatenation, ``find`` and ``translate`` all run in C.  Codes mean
     nothing across grammars, so every table keyed by them (the expansions,
     the penalty and completion-cost memos) belongs to one search.
+
+    A partial template is a leftmost-derivation state, a :data:`Form` tuple.
+    The score ``f(x) = c(x) + g(x) + X(x)`` of Sections 5.1/5.2 reads only a
+    few facts of a partial derivation, so a form carries exactly those and no
+    derivation tree:
+
+    * ``codes`` — the yield, one code point per terminal token or unexpanded
+      non-terminal;
+    * ``level_codes`` — per symbol, ``chr`` of the number of expression
+      non-terminals (:data:`EXPRESSION_NONTERMINALS`) enclosing it in the
+      derivation, an unexpanded one counting itself;
+    * ``open_codes`` — the unexpanded non-terminals in order, which ``g(x)``
+      reads; the first one is the leftmost;
+    * ``position`` — the index of the leftmost non-terminal, ``None`` once the
+      form is a complete sentence;
+    * ``depth`` — the expression depth, the maximum of ``level_codes``, kept
+      up to date by every splice;
+    * ``cost`` — ``c(x)``, the summed step costs of the expansions applied.
+
+    A form holds only ``str``, ``int``, ``float`` and ``None``, and the search,
+    not the form, holds the grammar.  CPython therefore untracks a form, and a
+    queue entry made of forms and numbers, the first time a collection sees
+    it, so cyclic-GC passes do not walk the frontier.  The grammar's methods
+    take and return forms: :meth:`apply` splices a right-hand side in at
+    ``position``.  When the right-hand side has no non-terminal, the next
+    leftmost one is the old second open non-terminal, found by one ``find``
+    of its code from the end of the splice: every symbol before it is a
+    terminal.  :meth:`symbols`, :meth:`levels` and :meth:`leftmost` decode a
+    form for tests and debugging; the searches never call them.
     """
 
     __slots__ = ("alphabet", "nonterminal_count", "start", "expansions", "_codes", "_expression")
@@ -188,135 +224,75 @@ class InternedGrammar:
         segment = "".join([chr(base + bump) for bump in bumps])
         return segment, (base + max(bumps) if bumps else None)
 
-
-class SententialForm:
-    """A partial template as the searches see it: a leftmost-derivation state.
-
-    The score ``f(x) = c(x) + g(x) + X(x)`` of Sections 5.1/5.2 reads only a
-    few facts of a partial derivation, so a form carries exactly those and no
-    derivation tree, interned against its :class:`InternedGrammar`:
-
-    * ``codes`` — the yield, one code point per terminal token or unexpanded
-      non-terminal;
-    * ``level_codes`` — per symbol, ``chr`` of the number of expression
-      non-terminals (:data:`EXPRESSION_NONTERMINALS`) enclosing it in the
-      derivation, an unexpanded one counting itself; their maximum is the
-      expression depth (kept up to date, see :meth:`depth`);
-    * ``open_codes`` — the unexpanded non-terminals in order, which ``g(x)``
-      reads; the first one is the leftmost;
-    * ``position`` — the index of the leftmost non-terminal, ``None`` once the
-      form is a complete sentence;
-    * ``cost`` — ``c(x)``, the summed step costs of the expansions applied.
-
-    Forms are immutable.  :meth:`apply` splices a right-hand side in at
-    ``position``.  When the right-hand side has no non-terminal, the next
-    leftmost one is the old second open non-terminal, found by one ``find``
-    of its code from the end of the splice: every symbol before it is a
-    terminal.  The ``symbols`` and ``levels`` properties decode a form for
-    tests and debugging; the searches never call them.
-    """
-
-    __slots__ = ("grammar", "codes", "level_codes", "open_codes", "position", "_depth", "cost")
-
-    def __init__(
-        self,
-        grammar: InternedGrammar,
-        codes: str,
-        level_codes: str,
-        open_codes: str,
-        position: Optional[int],
-        depth: int,
-        cost: float,
-    ) -> None:
-        self.grammar = grammar
-        self.codes = codes
-        self.level_codes = level_codes
-        self.open_codes = open_codes
-        self.position = position
-        self._depth = depth
-        self.cost = cost
-
-    @classmethod
-    def start(cls, grammar: InternedGrammar) -> "SententialForm":
+    def start_form(self) -> Form:
         """The one-symbol form a derivation from the start symbol starts at."""
-        level_codes, depth = grammar.level_segment(grammar.start, "\x00")
-        return cls(grammar, grammar.start, level_codes, grammar.start, 0, depth, 0.0)
+        level_codes, depth = self.level_segment(self.start, "\x00")
+        return (self.start, level_codes, self.start, 0, depth, 0.0)
 
-    @property
-    def symbols(self) -> Tuple[Symbol, ...]:
-        """The decoded yield."""
-        return self.grammar.decode(self.codes)
+    def symbols(self, form: Form) -> Tuple[Symbol, ...]:
+        """The decoded yield of *form*."""
+        return self.decode(form[0])
 
-    @property
-    def levels(self) -> Tuple[int, ...]:
-        """The decoded per-symbol expression-nesting levels."""
-        return tuple(map(ord, self.level_codes))
+    def levels(self, form: Form) -> Tuple[int, ...]:
+        """The decoded per-symbol expression-nesting levels of *form*."""
+        return tuple(map(ord, form[1]))
 
-    @property
-    def leftmost(self) -> Optional[NonTerminal]:
-        """The leftmost non-terminal, the one an expansion rewrites."""
-        if not self.open_codes:
+    def leftmost(self, form: Form) -> Optional[NonTerminal]:
+        """The leftmost non-terminal of *form*, the one an expansion rewrites."""
+        open_codes = form[2]
+        if not open_codes:
             return None
-        return self.grammar.alphabet[ord(self.open_codes[0])]  # type: ignore[return-value]
+        return self.alphabet[ord(open_codes[0])]  # type: ignore[return-value]
 
-    def depth(self) -> int:
-        """The expression depth the search's depth limit is checked against."""
-        return self._depth
-
-    def expand(self, production: Production) -> "SententialForm":
-        """The form with *production* applied to the leftmost non-terminal."""
-        if self.position is None:
+    def expand(self, form: Form, production: Production) -> Form:
+        """*form* with *production* applied to its leftmost non-terminal."""
+        _codes, _level_codes, open_codes, position, _depth, _cost = form
+        if position is None:
             raise GrammarError("cannot expand a complete sentential form")
-        if self.leftmost != production.lhs:
+        leftmost = self.leftmost(form)
+        if leftmost != production.lhs:
             raise GrammarError(
-                f"leftmost non-terminal is {self.leftmost}, "
+                f"leftmost non-terminal is {leftmost}, "
                 f"production expands {production.lhs}"
             )
-        rhs = self.grammar.encode(production.rhs)
-        for expansion in self.grammar.expansions[self.open_codes[0]]:
+        rhs = self.encode(production.rhs)
+        for expansion in self.expansions[open_codes[0]]:
             if expansion.rhs == rhs:
-                return self.apply(expansion)
+                return self.apply(form, expansion)
         raise GrammarError(f"{production} is not a production of the grammar")
 
-    def apply(self, expansion: Expansion) -> "SententialForm":
+    def apply(self, form: Form, expansion: Expansion) -> Form:
         """:meth:`expand` without its checks, for an expansion the caller
-        took from the grammar's alternatives for :attr:`leftmost`."""
-        position = self.position
-        level = self.level_codes[position]
+        took from :attr:`expansions` of the form's leftmost non-terminal."""
+        codes, level_codes, open_codes, position, depth, cost = form
+        level = level_codes[position]
         rhs = expansion.rhs
         spliced = expansion.levels.get(level)
         if spliced is None:
-            spliced = expansion.levels[level] = self.grammar.level_segment(rhs, level)
+            spliced = expansion.levels[level] = self.level_segment(rhs, level)
         segment, top = spliced
         # Every symbol left of the leftmost non-terminal is a terminal, so
         # the first occurrence of its code is the one to rewrite.
-        codes = self.codes.replace(self.open_codes[0], rhs, 1)
-        level_codes = self.level_codes[:position] + segment + self.level_codes[position + 1 :]
-        depth = self._depth
+        codes = codes.replace(open_codes[0], rhs, 1)
+        level_codes = level_codes[:position] + segment + level_codes[position + 1 :]
         if top is None:  # epsilon: the removed symbol may have been the deepest
             depth = ord(max(level_codes)) if level_codes else 0
         elif top > depth:
             depth = top
-        open_codes = expansion.open_codes + self.open_codes[1:]
+        open_codes = expansion.open_codes + open_codes[1:]
         if expansion.first is not None:
             position += expansion.first
         elif open_codes:
             position = codes.find(open_codes[0], position + len(rhs))
         else:
             position = None
-        return SententialForm(
-            self.grammar, codes, level_codes, open_codes, position, depth,
-            self.cost + expansion.cost,
-        )
+        return (codes, level_codes, open_codes, position, depth, cost + expansion.cost)
 
-    def tokens(self) -> Tuple[str, ...]:
+    def tokens(self, form: Form) -> Tuple[str, ...]:
         """The sentence of a complete form.  Raises on a partial one."""
-        if self.position is not None:
+        if form[3] is not None:
             raise GrammarError("a partial sentential form has no token yield")
-        return self.symbols  # type: ignore[return-value]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SententialForm({' '.join(map(str, self.symbols))!r})"
+        return self.symbols(form)  # type: ignore[return-value]
 
 
 class VisitedForms:
@@ -395,27 +371,6 @@ class VisitedForms:
 
     def __len__(self) -> int:
         return len(self._partial) + len(self._complete)
-
-
-class PriorityQueue:
-    """A min-heap with deterministic FIFO tie-breaking."""
-
-    def __init__(self) -> None:
-        self._heap: list = []
-        self._counter = itertools.count()
-
-    def push(self, priority: float, item) -> None:
-        heapq.heappush(self._heap, (priority, next(self._counter), item))
-
-    def pop(self) -> Tuple[float, object]:
-        priority, _count, item = heapq.heappop(self._heap)
-        return priority, item
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 class Deadline:

@@ -14,7 +14,9 @@ dimension list; fully epsilon-closed (complete) forms are always checked.
 
 from __future__ import annotations
 
+import itertools
 import math
+from heapq import heappop, heappush
 from typing import Optional
 
 from ..grammars import ProbabilisticGrammar
@@ -28,10 +30,8 @@ from .search import (
     CandidateChecker,
     Deadline,
     InternedGrammar,
-    PriorityQueue,
     SearchLimits,
     SearchOutcome,
-    SententialForm,
     VisitedForms,
 )
 
@@ -63,12 +63,18 @@ class BottomUpSearch:
         deadline = Deadline(self._limits.timeout_seconds, budget)
         # Hoisted: the heartbeat guard runs once per expansion.
         progress_interval = self._limits.progress_interval if observer is not None else 0
-        queue = PriorityQueue()
+        # Entries are (priority, tie, form, placed), where placed is the
+        # number of right-hand-side tensors in the form, which the heuristic
+        # already counted when the form was enqueued.  The tie keeps equal
+        # priorities FIFO.
+        queue: list = []
+        tie = itertools.count()
         checked: set[str] = set()
         seen: set[str] = set()
         visited = VisitedForms() if self._limits.prune_duplicates else None
         grammar = InternedGrammar(self._grammar, self._costs.production_cost)
         expansions = grammar.expansions
+        apply = grammar.apply
         penalty_of = self._penalties.memoized(grammar.alphabet)
         count_rhs_tensors = rhs_tensor_counter(grammar.alphabet)
         # Per-code tables of truncation: the codes of the TAIL non-terminals
@@ -79,10 +85,8 @@ class BottomUpSearch:
             if symbol.name.startswith("TAIL")
         )
         drop_open = dict.fromkeys(range(grammar.nonterminal_count))
-        root = SententialForm.start(grammar)
-        # Queue items carry the number of right-hand-side tensors placed,
-        # which the heuristic already counted when the form was enqueued.
-        queue.push(0.0, (root, count_rhs_tensors(root.codes)))
+        root = grammar.start_form()
+        heappush(queue, (0.0, next(tie), root, count_rhs_tensors(root[0])))
         target_tensors = len(self._dimension_list)
 
         while queue:
@@ -91,20 +95,21 @@ class BottomUpSearch:
                 break
             if outcome.nodes_expanded >= self._limits.max_expansions:
                 break
-            _priority, (form, placed) = queue.pop()
+            _priority, _tie, form, placed = heappop(queue)
             outcome.nodes_expanded += 1
             if progress_interval and outcome.nodes_expanded % progress_interval == 0:
                 safe_notify(observer, outcome.heartbeat(deadline.elapsed()))
 
-            complete = form.position is None
+            codes, _level_codes, open_codes, position, _depth, _cost = form
+            complete = position is None
             tensors_in_form = placed + 1  # + LHS tensor
             should_check = complete or (
-                tensors_in_form >= target_tensors and self._truncatable(form, tails)
+                tensors_in_form >= target_tensors and self._truncatable(open_codes, tails)
             )
             if should_check:
-                codes = self._truncate(form, tails, drop_open)
-                if codes is not None and self._try_candidate(
-                    grammar, codes, outcome, checked, seen
+                sentence = self._truncate(codes, open_codes, tails, drop_open)
+                if sentence is not None and self._try_candidate(
+                    grammar, sentence, outcome, checked, seen
                 ):
                     outcome.elapsed_seconds = deadline.elapsed()
                     return outcome
@@ -113,14 +118,14 @@ class BottomUpSearch:
                 if complete:
                     continue
 
-            for expansion in expansions[form.open_codes[0]]:
-                child = form.apply(expansion)
-                codes, cost = child.codes, child.cost
+            for expansion in expansions[open_codes[0]]:
+                child = apply(form, expansion)
+                codes, level_codes, child_open, _position, depth, cost = child
                 if visited is not None:
                     if (
-                        visited.should_prune(codes, child.level_codes, cost)
-                        if child.open_codes
-                        else visited.should_prune_complete(codes, child.depth(), cost)
+                        visited.should_prune(codes, level_codes, cost)
+                        if child_open
+                        else visited.should_prune_complete(codes, depth, cost)
                     ):
                         outcome.duplicates_pruned += 1
                         continue
@@ -129,7 +134,7 @@ class BottomUpSearch:
                     continue
                 child_placed = count_rhs_tensors(codes)
                 heuristic = self._costs.completion_cost(child_placed)
-                queue.push(cost + heuristic + penalty, (child, child_placed))
+                heappush(queue, (cost + heuristic + penalty, next(tie), child, child_placed))
 
         outcome.exhausted = not queue and not outcome.timed_out
         outcome.elapsed_seconds = deadline.elapsed()
@@ -139,14 +144,16 @@ class BottomUpSearch:
     # Truncation helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _truncatable(form: SententialForm, tails: str) -> bool:
+    def _truncatable(open_codes: str, tails: str) -> bool:
         """True when the only non-terminals left are trailing TAIL symbols."""
-        return not form.open_codes.strip(tails)
+        return not open_codes.strip(tails)
 
     @classmethod
-    def _truncate(cls, form: SententialForm, tails: str, drop_open: dict) -> Optional[str]:
+    def _truncate(
+        cls, codes: str, open_codes: str, tails: str, drop_open: dict
+    ) -> Optional[str]:
         """Drop trailing TAIL non-terminals, yielding the complete form's codes."""
-        return form.codes.translate(drop_open) if cls._truncatable(form, tails) else None
+        return codes.translate(drop_open) if cls._truncatable(open_codes, tails) else None
 
     # ------------------------------------------------------------------ #
     # Candidate handling

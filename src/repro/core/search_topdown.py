@@ -10,14 +10,17 @@ it pops the form with minimal score ``f(x) = c(x) + g(x) + X(x)``:
   their leftmost non-terminal.
 
 Forms deeper than the configured depth limit are discarded, and forms whose
-penalty is infinite are never enqueued.  Forms are interned per search (see
-:class:`repro.core.search.InternedGrammar`); tokens are decoded only for a
-complete form about to be parsed.
+penalty is infinite are never enqueued.  The search interns its grammar
+(:class:`repro.core.search.InternedGrammar`), whose methods splice forms held
+as plain tuples, and queues ``(priority, tie, form)`` entries on a ``heapq``
+list; tokens are decoded only for a complete form about to be parsed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from heapq import heappop, heappush
 from typing import Optional
 
 from ..grammars import ProbabilisticGrammar
@@ -30,10 +33,8 @@ from .search import (
     CandidateChecker,
     Deadline,
     InternedGrammar,
-    PriorityQueue,
     SearchLimits,
     SearchOutcome,
-    SententialForm,
     VisitedForms,
 )
 
@@ -63,7 +64,9 @@ class TopDownSearch:
         deadline = Deadline(self._limits.timeout_seconds, budget)
         # Hoisted: the heartbeat guard runs once per expansion.
         progress_interval = self._limits.progress_interval if observer is not None else 0
-        queue = PriorityQueue()
+        # Entries are (priority, tie, form); the tie keeps equal priorities FIFO.
+        queue: list = []
+        tie = itertools.count()
         checked: set[str] = set()
         seen: set[str] = set()
         visited = (
@@ -74,9 +77,11 @@ class TopDownSearch:
 
         grammar = InternedGrammar(self._grammar, self._costs.production_cost)
         expansions = grammar.expansions
+        apply = grammar.apply
         penalty_of = self._penalties.memoized(grammar.alphabet)
         completion_cost = self._costs.completion_cost(grammar.alphabet)
-        queue.push(0.0, SententialForm.start(grammar))
+        max_depth = self._limits.max_depth
+        heappush(queue, (0.0, next(tie), grammar.start_form()))
 
         while queue:
             if deadline.expired():
@@ -84,30 +89,31 @@ class TopDownSearch:
                 break
             if outcome.nodes_expanded >= self._limits.max_expansions:
                 break
-            _priority, form = queue.pop()
+            _priority, _tie, form = heappop(queue)
             outcome.nodes_expanded += 1
             if progress_interval and outcome.nodes_expanded % progress_interval == 0:
                 safe_notify(observer, outcome.heartbeat(deadline.elapsed()))
 
-            if form.depth() > self._limits.max_depth:
+            codes, _level_codes, open_codes, position, depth, _cost = form
+            if depth > max_depth:
                 continue
 
-            if form.position is None:
-                if self._try_candidate(form, outcome, checked, seen):
+            if position is None:
+                if self._try_candidate(grammar, codes, outcome, checked, seen):
                     outcome.elapsed_seconds = deadline.elapsed()
                     return outcome
                 if outcome.candidates_tried >= self._limits.max_candidates:
                     break
                 continue
 
-            for expansion in expansions[form.open_codes[0]]:
-                child = form.apply(expansion)
-                codes, open_codes, cost = child.codes, child.open_codes, child.cost
+            for expansion in expansions[open_codes[0]]:
+                child = apply(form, expansion)
+                codes, level_codes, open_codes, _position, depth, cost = child
                 if visited is not None:
                     if (
-                        visited.should_prune(codes, child.level_codes, cost)
+                        visited.should_prune(codes, level_codes, cost)
                         if open_codes
-                        else visited.should_prune_complete(codes, child.depth(), cost)
+                        else visited.should_prune_complete(codes, depth, cost)
                     ):
                         outcome.duplicates_pruned += 1
                         continue
@@ -116,7 +122,7 @@ class TopDownSearch:
                     continue
                 # g("") = 0.0 for a complete form.
                 heuristic = completion_cost(open_codes)
-                queue.push(cost + heuristic + penalty, child)
+                heappush(queue, (cost + heuristic + penalty, next(tie), child))
 
         outcome.exhausted = not queue and not outcome.timed_out
         outcome.elapsed_seconds = deadline.elapsed()
@@ -126,15 +132,20 @@ class TopDownSearch:
     # Candidate handling
     # ------------------------------------------------------------------ #
     def _try_candidate(
-        self, form: SententialForm, outcome: SearchOutcome, checked: set, seen: set
+        self,
+        grammar: InternedGrammar,
+        codes: str,
+        outcome: SearchOutcome,
+        checked: set,
+        seen: set,
     ) -> bool:
         # Parsing is pure: a token string seen before was either unparsable
         # or already checked (and failed, or the search would have ended).
-        if form.codes in seen:
+        if codes in seen:
             return False
-        seen.add(form.codes)
+        seen.add(codes)
         try:
-            template = from_tokens(form.tokens())
+            template = from_tokens(grammar.decode(codes))
         except TacoError:
             return False
         key = str(template)

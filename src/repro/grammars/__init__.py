@@ -14,7 +14,7 @@ from .cfg import (
     is_nonterminal,
     is_terminal,
 )
-from .pcfg import ProbabilisticGrammar, smoothed_weights
+from .pcfg import ProbabilisticGrammar
 from .analysis import (
     completion_costs,
     derivable_nonterminals,
@@ -31,7 +31,6 @@ __all__ = [
     "Symbol",
     "WeightedGrammar",
     "ProbabilisticGrammar",
-    "smoothed_weights",
     "is_nonterminal",
     "is_terminal",
     "completion_costs",

@@ -129,23 +129,3 @@ class ProbabilisticGrammar(ContextFreeGrammar):
                 raise GrammarError(
                     f"probabilities for non-terminal {nt} sum to {total}, expected 1"
                 )
-
-
-def smoothed_weights(
-    weighted: WeightedGrammar, smoothing: float = 1.0
-) -> WeightedGrammar:
-    """Return a copy of *weighted* with Laplace-style smoothing added.
-
-    The paper assigns a default weight of 1 to productions that never occur
-    in any candidate derivation so that they are "considered during the
-    synthesis process with a lower priority" (Section 4.3).  This helper
-    applies that default uniformly: any production with weight zero receives
-    *smoothing* instead.
-    """
-    new = WeightedGrammar(
-        weighted.start, weighted.productions, default_weight=weighted.default_weight
-    )
-    for prod in weighted.productions:
-        weight = weighted.weight(prod)
-        new.set_weight(prod, weight if weight > 0 else smoothing)
-    return new

@@ -57,7 +57,7 @@ from .server import (
     make_server,
     serve_in_background,
 )
-from .store import CachedLifter, ResultStore, StoreEntry, warm_digests
+from .store import CachedLifter, ResultStore, StoreEntry
 
 __all__ = [
     "LiftRequest",
@@ -92,5 +92,4 @@ __all__ = [
     "CachedLifter",
     "ResultStore",
     "StoreEntry",
-    "warm_digests",
 ]

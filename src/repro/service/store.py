@@ -444,14 +444,3 @@ class CachedLifter:
                 },
             )
         return report
-
-
-def warm_digests(
-    tasks: List[LiftingTask], lifters: Mapping[str, object]
-) -> Dict[str, List[str]]:
-    """The digests a sweep over *tasks* x *lifters* would read (for audits)."""
-    digests: Dict[str, List[str]] = {}
-    for label, lifter in lifters.items():
-        descriptor = describe_lifter(lifter)
-        digests[label] = [lift_digest(task, descriptor) for task in tasks]
-    return digests

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.search import InternedGrammar, SententialForm
+from repro.core.search import InternedGrammar
 from repro.grammars import (
     ContextFreeGrammar,
     GrammarError,
@@ -139,21 +139,37 @@ class TestAnalysis:
 
 
 def start_form(grammar):
-    """The start form of *grammar*, interned with unit step costs."""
-    return SententialForm.start(InternedGrammar(grammar, lambda production: 1.0))
+    """*grammar* interned with unit step costs, and its start form."""
+    interned = InternedGrammar(grammar, lambda production: 1.0)
+    return interned, interned.start_form()
 
 
 def derive(grammar, productions):
     """Replay *productions* as a leftmost derivation from the start symbol."""
-    form = start_form(grammar)
+    interned, form = start_form(grammar)
     for production in productions:
-        form = form.expand(production)
-    return form
+        form = interned.expand(form, production)
+    return interned, form
+
+
+def position(form):
+    """The leftmost non-terminal's index in *form*, None once complete."""
+    return form[3]
+
+
+def depth(form):
+    """The expression depth of *form*."""
+    return form[4]
+
+
+def cost(form):
+    """``c(x)`` of *form*."""
+    return form[5]
 
 
 class TestSententialForm:
     def test_manual_derivation(self):
-        form = derive(
+        interned, form = derive(
             simple_grammar(),
             [
                 Production(S, (E,)),
@@ -163,34 +179,36 @@ class TestSententialForm:
                 Production(E, ("y",)),
             ],
         )
-        assert form.position is None and form.leftmost is None
-        assert form.tokens() == ("x", "+", "y")
-        assert form.cost == 5.0  # one unit step cost per production applied
+        assert position(form) is None and interned.leftmost(form) is None
+        assert interned.tokens(form) == ("x", "+", "y")
+        assert cost(form) == 5.0  # one unit step cost per production applied
 
     def test_expansion_is_persistent(self):
-        form = start_form(simple_grammar())
-        expanded = form.expand(Production(S, (E,)))
-        assert form.leftmost == S and form.symbols == (S,)
-        assert expanded.leftmost == E
-        assert (form.cost, expanded.cost) == (0.0, 1.0)
+        interned, form = start_form(simple_grammar())
+        expanded = interned.expand(form, Production(S, (E,)))
+        assert interned.leftmost(form) == S and interned.symbols(form) == (S,)
+        assert interned.leftmost(expanded) == E
+        assert (cost(form), cost(expanded)) == (0.0, 1.0)
 
     def test_one_code_point_per_symbol(self):
         grammar = simple_grammar()
-        interned = InternedGrammar(grammar, lambda production: 1.0)
+        interned, form = derive(grammar, [Production(S, (E,)), Production(E, (E, OP, E))])
         # Non-terminals first (codes 0..N-1), then terminals.
         assert interned.alphabet == grammar.nonterminals + grammar.terminals
         assert interned.nonterminal_count == len(grammar.nonterminals)
-        form = derive(grammar, [Production(S, (E,)), Production(E, (E, OP, E))])
-        assert len(form.codes) == len(form.symbols) == 3
-        assert interned.decode(interned.encode(form.symbols)) == form.symbols
-        assert form.open_codes == interned.encode((E, OP, E))
+        codes, _level_codes, open_codes, _position, _depth, _cost = form
+        symbols = interned.symbols(form)
+        assert len(codes) == len(symbols) == 3
+        assert interned.decode(interned.encode(symbols)) == symbols
+        assert open_codes == interned.encode((E, OP, E))
 
     def test_symbols_outside_the_grammar_are_rejected(self):
-        form = start_form(simple_grammar())
+        interned, form = start_form(simple_grammar())
         with pytest.raises(GrammarError):
-            form.expand(Production(S, (NonTerminal("MISSING"),)))
+            interned.expand(form, Production(S, (NonTerminal("MISSING"),)))
         with pytest.raises(GrammarError):
-            form.expand(Production(S, ("x",)))  # known symbols, unknown production
+            # known symbols, unknown production
+            interned.expand(form, Production(S, ("x",)))
 
     def test_replay_matches_grammar_expand_leftmost(self):
         grammar = simple_grammar()
@@ -201,14 +219,14 @@ class TestSententialForm:
             Production(OP, ("*",)),
             Production(E, ("y",)),
         ]
-        form = start_form(grammar)
+        interned, form = start_form(grammar)
         reference = (grammar.start,)
         for rule in rules:
-            form = form.expand(rule)
+            form = interned.expand(form, rule)
             reference = grammar.expand_leftmost(reference, rule)
-            assert form.symbols == reference
-            assert form.leftmost == grammar.leftmost_nonterminal(reference)
-        assert " ".join(form.tokens()) == "x * y"
+            assert interned.symbols(form) == reference
+            assert interned.leftmost(form) == grammar.leftmost_nonterminal(reference)
+        assert " ".join(interned.tokens(form)) == "x * y"
 
     def test_expression_levels_and_depth(self):
         expr = NonTerminal("EXPR")
@@ -221,14 +239,14 @@ class TestSententialForm:
                 Production(OP, ("+",)),
             ],
         )
-        form = start_form(grammar)
-        form = form.expand(Production(S, (expr,)))
-        assert form.levels == (1,)
-        form = form.expand(Production(expr, (expr, OP, expr)))
-        assert form.levels == (2, 1, 2)
-        assert form.depth() == 2
-        form = form.expand(Production(expr, ("x",)))
-        assert form.levels == (2, 1, 2) and form.leftmost == OP
+        interned, form = start_form(grammar)
+        form = interned.expand(form, Production(S, (expr,)))
+        assert interned.levels(form) == (1,)
+        form = interned.expand(form, Production(expr, (expr, OP, expr)))
+        assert interned.levels(form) == (2, 1, 2)
+        assert depth(form) == 2
+        form = interned.expand(form, Production(expr, ("x",)))
+        assert interned.levels(form) == (2, 1, 2) and interned.leftmost(form) == OP
 
     def test_epsilon_expansion_recomputes_depth(self):
         """Erasing the deepest symbol lowers the depth to the deepest one left."""
@@ -242,27 +260,36 @@ class TestSententialForm:
                 Production(tail, ()),
             ],
         )
-        form = derive(grammar, [Production(S, ("x", expr))])
-        assert (form.levels, form.depth()) == ((0, 1), 1)
-        erased = form.expand(Production(expr, ()))
-        assert (erased.symbols, erased.levels, erased.depth()) == (("x",), (0,), 0)
-        assert erased.position is None
-        kept = form.expand(Production(expr, (tail,))).expand(Production(tail, ()))
-        assert (kept.levels, kept.depth(), kept.tokens()) == ((0,), 0, ("x",))
+        interned, form = derive(grammar, [Production(S, ("x", expr))])
+        assert (interned.levels(form), depth(form)) == ((0, 1), 1)
+        erased = interned.expand(form, Production(expr, ()))
+        assert (interned.symbols(erased), interned.levels(erased), depth(erased)) == (
+            ("x",), (0,), 0
+        )
+        assert position(erased) is None
+        kept = interned.expand(
+            interned.expand(form, Production(expr, (tail,))), Production(tail, ())
+        )
+        assert (interned.levels(kept), depth(kept), interned.tokens(kept)) == (
+            (0,), 0, ("x",)
+        )
 
     def test_cannot_expand_complete_form(self):
-        form = derive(simple_grammar(), [Production(S, (E,)), Production(E, ("x",))])
+        interned, form = derive(
+            simple_grammar(), [Production(S, (E,)), Production(E, ("x",))]
+        )
         with pytest.raises(GrammarError):
-            form.expand(Production(E, ("y",)))
+            interned.expand(form, Production(E, ("y",)))
 
     def test_production_must_expand_the_leftmost_nonterminal(self):
-        form = derive(simple_grammar(), [Production(S, (E,))])
+        interned, form = derive(simple_grammar(), [Production(S, (E,))])
         with pytest.raises(GrammarError):
-            form.expand(Production(OP, ("+",)))
+            interned.expand(form, Production(OP, ("+",)))
 
     def test_yield_tokens_requires_completeness(self):
+        interned, form = start_form(simple_grammar())
         with pytest.raises(GrammarError):
-            start_form(simple_grammar()).tokens()
+            interned.tokens(form)
 
 
 class TestPropertyBased:
@@ -284,23 +311,24 @@ class TestPropertyBased:
 
         rng = random.Random(seed)
         grammar = simple_grammar()
-        form = start_form(grammar)
+        interned, form = start_form(grammar)
         for _ in range(200):
-            if form.position is None:
+            if position(form) is None:
                 break
-            options = grammar.productions_for(form.leftmost)
+            options = grammar.productions_for(interned.leftmost(form))
             # Bias towards terminals so random derivations terminate.
             terminal_options = [p for p in options if not p.rhs_nonterminals()]
             prefer_terminal = terminal_options and rng.random() < 0.7
             pick = rng.choice(terminal_options if prefer_terminal else list(options))
-            expected = grammar.expand_leftmost(form.symbols, pick)
-            form = form.expand(pick)
-            assert form.symbols == expected
-            assert form.leftmost == grammar.leftmost_nonterminal(expected)
-            assert len(form.levels) == len(form.symbols)
-            if form.position is not None:
-                assert form.symbols[form.position] == form.leftmost
-                assert grammar.is_complete(form.symbols[: form.position])
-        if form.position is None:
-            assert grammar.is_complete(form.symbols)
-            assert all(isinstance(token, str) for token in form.tokens())
+            expected = grammar.expand_leftmost(interned.symbols(form), pick)
+            form = interned.expand(form, pick)
+            symbols = interned.symbols(form)
+            assert symbols == expected
+            assert interned.leftmost(form) == grammar.leftmost_nonterminal(expected)
+            assert len(interned.levels(form)) == len(symbols)
+            if position(form) is not None:
+                assert symbols[position(form)] == interned.leftmost(form)
+                assert grammar.is_complete(symbols[: position(form)])
+        if position(form) is None:
+            assert grammar.is_complete(interned.symbols(form))
+            assert all(isinstance(token, str) for token in interned.tokens(form))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SearchLimits, StaggConfig, StaggSynthesizer, VerifierConfig
-from repro.core.search import InternedGrammar, SententialForm, VisitedForms
+from repro.core.search import InternedGrammar, VisitedForms
 from repro.grammars import NonTerminal
 from repro.llm import OracleConfig, SyntheticOracle
 from repro.suite import all_benchmarks
@@ -153,52 +153,54 @@ class TestSententialFormExpansion:
         grammar = self._topdown_grammar()
         cost = {production: float(n) for n, production in enumerate(grammar.productions)}
         interned = InternedGrammar(grammar, cost.__getitem__)
-        frontier = [(SententialForm.start(interned), ())]
+        frontier = [(interned.start_form(), ())]
         seen = 0
         while frontier and seen < 300:
             form, applied = frontier.pop()
-            expansions = interned.expansions[interned.encode([form.leftmost])]
-            productions = grammar.productions_for(form.leftmost)
+            leftmost = interned.leftmost(form)
+            expansions = interned.expansions[interned.encode([leftmost])]
+            productions = grammar.productions_for(leftmost)
             assert [(interned.decode(e.rhs), e.cost) for e in expansions] == [
                 (p.rhs, cost[p]) for p in productions
             ]
             for expansion, production in zip(expansions, productions):
-                child = form.expand(production)
-                fast = form.apply(expansion)
-                assert (fast.symbols, fast.levels, fast.position, fast.cost) == (
-                    child.symbols, child.levels, child.position, child.cost
+                child = interned.expand(form, production)
+                fast = interned.apply(form, expansion)
+                assert fast == child
+                _codes, _level_codes, open_codes, position, child_depth, child_cost = child
+                symbols = interned.symbols(child)
+                assert child_cost == form[5] + cost[production]
+                assert symbols == grammar.expand_leftmost(interned.symbols(form), production)
+                assert interned.leftmost(child) == grammar.leftmost_nonterminal(symbols)
+                assert interned.decode(open_codes) == tuple(
+                    s for s in symbols if isinstance(s, NonTerminal)
                 )
-                assert child.cost == form.cost + cost[production]
-                assert child.symbols == grammar.expand_leftmost(form.symbols, production)
-                assert child.leftmost == grammar.leftmost_nonterminal(child.symbols)
-                assert interned.decode(child.open_codes) == tuple(
-                    s for s in child.symbols if isinstance(s, NonTerminal)
-                )
-                if child.position is not None:
-                    assert child.symbols[child.position] == child.leftmost
-                    assert grammar.is_complete(child.symbols[: child.position])
+                if position is not None:
+                    assert symbols[position] == interned.leftmost(child)
+                    assert grammar.is_complete(symbols[:position])
                 levels, depth = _replay(grammar.start, applied + (production,))
-                assert child.levels == levels
-                assert child.depth() == depth == max(levels, default=0)
+                assert interned.levels(child) == levels
+                assert child_depth == depth == max(levels, default=0)
                 seen += 1
-                if child.position is not None:
+                if position is not None:
                     frontier.append((child, applied + (production,)))
         assert seen >= 300
 
     def test_depth_matches_tree_expression_depth_on_shallow_forms(self):
         grammar = self._topdown_grammar()
         interned = InternedGrammar(grammar, lambda production: 0.0)
-        frontier = [(SententialForm.start(interned), ())]
+        frontier = [(interned.start_form(), ())]
         checked = 0
         while frontier and checked < 500:
             form, applied = frontier.pop()
-            assert form.depth() == _replay(grammar.start, applied)[1]
+            _codes, _level_codes, _open_codes, position, depth, _cost = form
+            assert depth == _replay(grammar.start, applied)[1]
             checked += 1
-            if form.position is None:
+            if position is None:
                 continue
-            for production in grammar.productions_for(form.leftmost):
-                child = form.expand(production)
-                if child.depth() <= 4:
+            for production in grammar.productions_for(interned.leftmost(form)):
+                child = interned.expand(form, production)
+                if child[4] <= 4:
                     frontier.append((child, applied + (production,)))
         assert checked == 500
 
