@@ -29,7 +29,8 @@ The CLI exposes the library's main entry points without writing any Python:
     result.
 ``python -m repro jobs``
     Inspect a service job journal (newest-first listing, per-state
-    counts) and ``--requeue`` failed or interrupted jobs.
+    counts; works on a live journal) and, offline, ``--requeue`` failed
+    or interrupted jobs.
 ``python -m repro trace summarize|tree|slowest <file>``
     Reconstruct the span trees in a ``repro-trace-v1`` JSONL file (from
     ``repro lift --trace``, ``repro serve --trace`` or ``REPRO_TRACE``)
@@ -290,10 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--journal", default=None,
-        help="crash-safe SQLite job journal: a database path, or a "
-        "directory (which gets jobs.journal.sqlite3).  Queued and running "
-        "jobs survive restarts and kill -9; orphaned work is re-enqueued "
-        "with bounded retries on the next start",
+        help="crash-safe SQLite job journal on a local filesystem: a "
+        "database path, or a directory (which gets jobs.journal.sqlite3).  "
+        "Queued and running jobs survive restarts and kill -9; orphaned "
+        "work is re-enqueued with bounded retries on the next start.  One "
+        "live server per journal: a second one exits 1",
     )
     serve.add_argument(
         "--max-queue-depth", type=int, default=None,
@@ -388,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     jobs.add_argument(
         "--requeue", action="append", default=None, metavar="JOB_ID",
         help="re-enqueue a failed/cancelled/interrupted job with a fresh "
-        "attempt budget (repeatable); a running service sharing the "
-        "journal picks it up, or the next `repro serve` start does",
+        "attempt budget (repeatable) for the next `repro serve` start to "
+        "run.  An offline repair: refused while a server holds the "
+        "journal; on a live service, resubmit the request instead",
     )
 
     submit = subparsers.add_parser(
@@ -910,7 +913,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .service import DEFAULT_MAX_ATTEMPTS, LiftingService, make_server
+    from .service import (
+        DEFAULT_MAX_ATTEMPTS,
+        JournalBusy,
+        LiftingService,
+        make_server,
+    )
 
     execution, executor_error = _parse_executor(args)
     if executor_error:
@@ -935,21 +943,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .obs import trace as obs_trace
 
         obs_trace.configure(args.trace)
-    service = LiftingService(
-        cache_dir=args.cache_dir,
-        execution=execution,
-        default_timeout=args.timeout,
-        journal=args.journal,
-        max_queue_depth=args.max_queue_depth,
-        max_attempts=(
-            args.max_attempts
-            if args.max_attempts is not None
-            else DEFAULT_MAX_ATTEMPTS
-        ),
-        store_max_entries=args.store_max_entries,
-        store_max_bytes=args.store_max_bytes,
-        seed_from_store=args.seed_from_store,
-    )
+    try:
+        service = LiftingService(
+            cache_dir=args.cache_dir,
+            execution=execution,
+            default_timeout=args.timeout,
+            journal=args.journal,
+            max_queue_depth=args.max_queue_depth,
+            max_attempts=(
+                args.max_attempts
+                if args.max_attempts is not None
+                else DEFAULT_MAX_ATTEMPTS
+            ),
+            store_max_entries=args.store_max_entries,
+            store_max_bytes=args.store_max_bytes,
+            seed_from_store=args.seed_from_store,
+        )
+    except JournalBusy as error:
+        print(error, file=sys.stderr)
+        return 1
     server = make_server(args.host, args.port, service)
     host, port = server.server_address[:2]
     recovered = service.scheduler.stats().get("recovered", 0)
@@ -1014,23 +1026,10 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     if not path.exists():
         print(f"no job journal at {path}", file=sys.stderr)
         return 1
+    # Listing takes no lease, so it works on a live server's journal.
     journal = JobJournal(path)
     try:
-        status = 0
-        for job_id in args.requeue or ():
-            row = journal.row(job_id)
-            if row is None:
-                print(f"requeue {job_id}: no such job", file=sys.stderr)
-                status = 1
-            elif journal.requeue_terminal(job_id):
-                print(f"requeued {job_id} (was {row.state})")
-            else:
-                print(
-                    f"requeue {job_id}: state is {row.state!r} "
-                    f"(only failed/cancelled/interrupted jobs can be requeued)",
-                    file=sys.stderr,
-                )
-                status = 1
+        status = _requeue_jobs(journal, args.requeue) if args.requeue else 0
         rows = journal.rows(state=args.state, limit=args.limit)
         for row in rows:
             error = f"  {row.error}" if row.error else ""
@@ -1047,6 +1046,37 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         return status
     finally:
         journal.close()
+
+
+def _requeue_jobs(journal, job_ids: Sequence[str]) -> int:
+    """``repro jobs --requeue``: an offline repair, done under the lease a
+    live server would hold (so it is refused while one runs)."""
+    from .service import JournalBusy
+
+    try:
+        lease = journal.lease()
+    except JournalBusy as error:
+        print(f"requeue refused: {error}", file=sys.stderr)
+        return 1
+    try:
+        status = 0
+        for job_id in job_ids:
+            row = journal.row(job_id)
+            if row is None:
+                print(f"requeue {job_id}: no such job", file=sys.stderr)
+                status = 1
+            elif journal.requeue_terminal(job_id):
+                print(f"requeued {job_id} (was {row.state})")
+            else:
+                print(
+                    f"requeue {job_id}: state is {row.state!r} "
+                    f"(only failed/cancelled/interrupted jobs can be requeued)",
+                    file=sys.stderr,
+                )
+                status = 1
+        return status
+    finally:
+        lease.release()
 
 
 def _http_json(url: str, payload: Optional[dict] = None) -> Tuple[int, dict]:

@@ -5,12 +5,13 @@ This package turns the one-shot synthesizer into a long-lived service:
 * :mod:`repro.service.digest` — content addresses for lift requests.
 * :mod:`repro.service.store` — persistent, crash-safe result store keyed
   by request digest, with provenance metadata and hit/miss counters.
-* :mod:`repro.service.journal` — crash-safe SQLite (WAL) job journal:
-  durable queue rows, atomic state transitions, recovery with bounded
-  retries and persistent counters.
+* :mod:`repro.service.journal` — crash-safe SQLite (WAL) job journal for
+  one live scheduler (an exclusive lease): durable queue rows, guarded
+  state transitions, recovery with bounded retries and persistent
+  counters.
 * :mod:`repro.service.scheduler` — priority job queue with in-flight
   deduplication, per-job timeouts, transient-failure retry/backoff and a
-  thread/process worker pool, optionally journal-backed.
+  worker thread pool, optionally journal-backed.
 * :mod:`repro.service.faults` — fault-injection harness (named failure
   points, env-configurable, JSONL event log) proving the failure paths.
 * :mod:`repro.service.api` — :class:`LiftingService`, the submit /
@@ -47,6 +48,7 @@ from .journal import (
     JOURNAL_SUFFIX,
     JobJournal,
     JobRow,
+    JournalBusy,
     backoff_seconds,
     resolve_journal_path,
 )
@@ -68,6 +70,7 @@ __all__ = [
     "JOURNAL_SUFFIX",
     "JobJournal",
     "JobRow",
+    "JournalBusy",
     "backoff_seconds",
     "resolve_journal_path",
     "DEFAULT_JOB_RETENTION",

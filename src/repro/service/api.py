@@ -295,13 +295,15 @@ class LiftingService:
     """Submit/status/result/batch over a store-backed scheduler.
 
     With ``journal`` set, the scheduler runs on the crash-safe SQLite job
-    journal: submissions survive restarts, orphaned jobs are recovered
-    with bounded retries, and several service processes can share one
-    journal + store volume.  ``max_queue_depth`` enables admission
-    control: past the threshold, fresh work is refused with
-    :class:`ServiceOverloadedError` (HTTP 429 + Retry-After derived from
-    the measured drain rate) — dedup attaches and store answers are still
-    served, since they add no queue load.
+    journal: submissions survive restarts and orphaned jobs are recovered
+    with bounded retries.  A journal serves one live service at a time, on
+    one host and a local filesystem; constructing a second service on it
+    raises :class:`~repro.service.journal.JournalBusy`.
+
+    ``max_queue_depth`` enables admission control: past the threshold,
+    fresh work is refused with :class:`ServiceOverloadedError` (HTTP 429 +
+    Retry-After derived from the measured drain rate) — dedup attaches and
+    store answers are still served, since they add no queue load.
     """
 
     def __init__(
@@ -377,9 +379,9 @@ class LiftingService:
                     fn=lambda key=key: store.stats().get(key, 0),
                 )
         # Partial application keeps the executor the module-level function
-        # (looked up here, so a wrapped ``execute_request`` is honoured) and
-        # signature-inspectable (cooperative budgets still engage).  The
-        # probe feeds the scheduler's repro_retrieval_* counters on misses.
+        # (looked up here, so a wrapped ``execute_request`` is honoured).
+        # The probe feeds the scheduler's repro_retrieval_* counters on
+        # misses.
         executor = functools.partial(
             execute_request,
             execution=execution,
@@ -390,17 +392,23 @@ class LiftingService:
         )
         # Provenance records the request payload only; the lifter identity
         # is already pinned by the digest the entry is stored under.
-        self._scheduler = JobScheduler(
-            executor,
-            store=self._store,
-            workers=workers,
-            provenance=lambda request: {"request": request.to_payload()},
-            journal=self._journal,
-            max_attempts=max_attempts,
-            payload_codec=(_encode_request, _decode_request),
-            metrics=self.metrics,
-            retrieval_probe=retrieval_probe,
-        )
+        try:
+            self._scheduler = JobScheduler(
+                executor,
+                store=self._store,
+                workers=workers,
+                provenance=lambda request: {"request": request.to_payload()},
+                journal=self._journal,
+                max_attempts=max_attempts,
+                payload_codec=(_encode_request, _decode_request),
+                metrics=self.metrics,
+                retrieval_probe=retrieval_probe,
+            )
+        except BaseException:
+            # E.g. JournalBusy: no service will ever close this journal.
+            if self._journal is not None:
+                self._journal.close()
+            raise
 
     @property
     def store(self) -> Optional[ResultStore]:

@@ -30,7 +30,8 @@ Named fault points currently wired into the service:
 ``store.put``  before a result-store write (transient ``OSError`` →
                in-place write retry)
 ``execute``    top of request execution (pacing / worker death)
-``clock``      additive skew applied to the journal's wall clock
+``clock``      additive skew applied to the journal clock, which
+               also times the scheduler's backoff windows
 ========== =========================================================
 """
 

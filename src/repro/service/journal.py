@@ -9,21 +9,25 @@ so a ``kill -9``, an OOM kill or a plain restart loses no submissions.
 
 Design points:
 
+* **One owner.**  A journal is the durability log of exactly one live
+  scheduler, on one host and a local filesystem.  The scheduler takes the
+  journal's :class:`JournalLease` before it recovers and holds it until its
+  last worker exits; a second scheduler (in this process or another) gets
+  :class:`JournalBusy`.  The scheduler's in-memory queue decides what runs
+  next; the journal only mirrors it.
 * **One ``jobs`` table, keyed by job id.**  Rows carry the request digest,
   state, priority, timeout, the JSON-encoded payload (so a fresh process
   can re-materialise the job), attempt/backoff bookkeeping and the full
-  provenance timestamps.  A partial unique index over *active* digests
-  enforces in-flight deduplication across processes: two servers sharing a
-  volume cannot both enqueue the same digest.
-* **Atomic transitions.**  ``claim``/``finish``/``requeue`` are single
-  guarded ``UPDATE`` statements; the rowcount says whether this process
-  won the transition.  N workers — threads or whole server processes —
-  drain one queue without a coordinator.
-* **Crash recovery.**  :meth:`recover` re-adopts ``QUEUED`` rows and marks
-  orphaned ``RUNNING`` rows (owner process dead, or stale past its budget
-  plus grace) ``INTERRUPTED``, then re-enqueues them with exponential
-  backoff + deterministic jitter up to a bounded ``max_attempts`` —
-  recorded in the row, so ``repro jobs`` can audit every retry.
+  provenance timestamps.  A partial unique index over *active* digests is
+  a backstop for the scheduler's in-flight deduplication.
+* **Guarded transitions.**  ``claim``/``finish``/``requeue`` are single
+  guarded ``UPDATE`` statements; the rowcount says whether the row was in
+  the expected state.
+* **Crash recovery.**  Under the lease, every ``RUNNING`` row at start-up
+  is an orphan of a dead owner: :meth:`recover` marks it ``INTERRUPTED``
+  and re-enqueues it with exponential backoff + deterministic jitter up to
+  a bounded ``max_attempts`` — recorded in the row, so ``repro jobs`` can
+  audit every retry — and hands back every ``QUEUED`` row.
 * **Counters survive restarts.**  A small ``meta`` table persists the
   service's lifetime counters (``recovered``, ``rejected``, ...) across
   graceful shutdowns.
@@ -36,6 +40,7 @@ far each ask got — which is exactly what must survive a crash.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -44,7 +49,7 @@ import sqlite3
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from . import faults
 
@@ -63,11 +68,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: a thundering herd of recovered jobs still spreads out).
 BACKOFF_BASE_SECONDS = 0.25
 BACKOFF_CAP_SECONDS = 30.0
-
-#: Extra slack past ``started_at + timeout`` before a RUNNING row owned by
-#: an unreachable process (e.g. another host on a shared volume) is
-#: declared orphaned during recovery.
-STALE_GRACE_SECONDS = 30.0
 
 _ACTIVE_STATES = ("queued", "running")
 _TERMINAL_STATES = ("succeeded", "failed", "cancelled")
@@ -112,13 +112,24 @@ class JournalError(RuntimeError):
     """The journal could not record or transition a job."""
 
 
-class DuplicateActiveDigest(JournalError):
-    """An insert collided with an active (queued/running) row for the digest."""
+class JournalBusy(JournalError):
+    """Another live scheduler holds the journal's lease."""
 
-    def __init__(self, digest: str, existing_id: str) -> None:
-        super().__init__(f"digest {digest[:12]} is already active as {existing_id}")
-        self.digest = digest
-        self.existing_id = existing_id
+    def __init__(self, path: Path) -> None:
+        super().__init__(
+            f"job journal {path} is in use by another live scheduler "
+            f"(one journal serves one scheduler at a time)"
+        )
+        self.path = path
+
+
+def journal_time() -> float:
+    """Journal time: wall clock plus any injected skew (fault point).
+
+    The scheduler reads backoff windows on this same clock, so a job it
+    deems eligible is one :meth:`JobJournal.claim` accepts.
+    """
+    return time.time() + faults.clock_skew()
 
 
 def backoff_seconds(job_id: str, attempt: int) -> float:
@@ -148,26 +159,45 @@ def owner_token() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - pid exists, other user
-        return True
-    except OSError:  # pragma: no cover - defensive
-        return False
-    return True
+#: Lock files this process holds a lease on.  POSIX record locks are per
+#: process, so the kernel alone would grant a second lease in-process —
+#: and closing any other descriptor of the lock file would drop the first.
+_held_leases: Set[str] = set()
+_held_leases_lock = threading.Lock()
 
 
-def _owner_alive(owner: str) -> Optional[bool]:
-    """Whether the owning process is alive; None when undecidable (other host)."""
-    host, _, raw_pid = owner.rpartition(":")
-    if not host or not raw_pid.isdigit():
-        return None
-    if host != socket.gethostname():
-        return None
-    return _pid_alive(int(raw_pid))
+class JournalLease:
+    """Exclusive ownership of one journal: ``fcntl.lockf`` on a sidecar
+    ``<journal>.lock`` file, plus the in-process set of held lock files.
+
+    The kernel drops the record lock when the holder dies (``kill -9``
+    included), and forked children do not inherit it, so a dead server's
+    still-running race members never keep its journal leased.
+    """
+
+    def __init__(self, journal_path: Path) -> None:
+        self._path = Path(f"{journal_path}.lock")
+        self._key = os.path.realpath(self._path)
+        with _held_leases_lock:
+            if self._key in _held_leases:
+                raise JournalBusy(journal_path)
+            fd = os.open(self._path, os.O_RDWR | os.O_CREAT, 0o644)
+            try:
+                fcntl.lockf(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError:
+                os.close(fd)
+                raise JournalBusy(journal_path) from None
+            _held_leases.add(self._key)
+        self._fd: Optional[int] = fd
+
+    def release(self) -> None:
+        """Give the journal up (idempotent); closing the file drops the lock."""
+        with _held_leases_lock:
+            if self._fd is None:
+                return
+            os.close(self._fd)
+            self._fd = None
+            _held_leases.discard(self._key)
 
 
 class JobRow:
@@ -226,10 +256,9 @@ class JobJournal:
     def path(self) -> Path:
         return self._path
 
-    @staticmethod
-    def _now() -> float:
-        """Journal time: wall clock plus any injected skew (fault point)."""
-        return time.time() + faults.clock_skew()
+    def lease(self) -> JournalLease:
+        """Take the journal's exclusive lease (raises :class:`JournalBusy`)."""
+        return JournalLease(self._path)
 
     def _execute(self, sql: str, params: Sequence[object] = ()) -> sqlite3.Cursor:
         with self._lock:
@@ -255,22 +284,20 @@ class JobJournal:
     ) -> None:
         """Journal a fresh QUEUED job.
 
-        Raises :class:`DuplicateActiveDigest` when another row for the same
-        digest is already queued or running — the cross-process half of the
-        scheduler's in-flight deduplication.
+        Raises :class:`JournalError` when the id is taken or another row for
+        the same digest is already queued or running.  The scheduler's
+        in-flight deduplication never lets the latter happen; the partial
+        unique index is its backstop.
         """
         try:
             self._execute(
                 "INSERT INTO jobs (id, digest, state, priority, timeout, payload,"
                 " max_attempts, created_at) VALUES (?, ?, 'queued', ?, ?, ?, ?, ?)",
                 (job_id, digest, priority, timeout, payload_json,
-                 max(1, int(max_attempts)), self._now()),
+                 max(1, int(max_attempts)), journal_time()),
             )
-        except sqlite3.IntegrityError:
-            row = self.active_for_digest(digest)
-            if row is not None:
-                raise DuplicateActiveDigest(digest, row.id) from None
-            raise JournalError(f"could not journal job {job_id}") from None
+        except sqlite3.IntegrityError as error:
+            raise JournalError(f"could not journal job {job_id}: {error}") from None
 
     def record_attach(self, job_id: str) -> None:
         """Count one more submission coalesced onto an active job."""
@@ -287,7 +314,7 @@ class JobJournal:
         timeout: Optional[float] = None,
     ) -> None:
         """Journal a store-answered job directly in its terminal state."""
-        now = self._now()
+        now = journal_time()
         self._execute(
             "INSERT OR IGNORE INTO jobs (id, digest, state, priority, timeout,"
             " payload, cached, created_at, finished_at)"
@@ -299,17 +326,17 @@ class JobJournal:
     # Atomic transitions
     # ------------------------------------------------------------------ #
     def claim(self, job_id: str, owner: Optional[str] = None) -> bool:
-        """QUEUED → RUNNING iff still queued and eligible; True when won.
+        """QUEUED → RUNNING iff still queued and past its backoff; True when won.
 
-        This is *the* multi-worker arbitration point: every worker (in this
-        process or any other sharing the volume) issues the same guarded
-        UPDATE, and exactly one rowcount comes back 1.
+        The scheduler has already picked the job from its own queue; this
+        mirrors the pick, and the guard refuses a row that is not queued or
+        whose ``not_before`` lies ahead on the journal clock.
         """
         cursor = self._execute(
             "UPDATE jobs SET state = 'running', owner = ?, started_at = ?,"
             " attempts = attempts + 1"
             " WHERE id = ? AND state = 'queued' AND not_before <= ?",
-            (owner or owner_token(), self._now(), job_id, self._now()),
+            (owner or owner_token(), journal_time(), job_id, journal_time()),
         )
         return cursor.rowcount == 1
 
@@ -328,7 +355,7 @@ class JobJournal:
         cursor = self._execute(
             f"UPDATE jobs SET state = ?, error = ?, cached = ?, finished_at = ?"
             f" WHERE id = ? AND state IN ({marks})",
-            (state, error, int(cached), self._now(), job_id, *from_states),
+            (state, error, int(cached), journal_time(), job_id, *from_states),
         )
         return cursor.rowcount == 1
 
@@ -346,7 +373,7 @@ class JobJournal:
         if row.attempts >= row.max_attempts:
             return None
         delay = backoff_seconds(job_id, row.attempts)
-        not_before = self._now() + delay
+        not_before = journal_time() + delay
         cursor = self._execute(
             "UPDATE jobs SET state = 'queued', owner = '', not_before = ?,"
             " error = ? WHERE id = ? AND state = ?",
@@ -396,40 +423,6 @@ class JobJournal:
             )
         return [JobRow(values) for values in cursor.fetchall()]
 
-    def active_for_digest(self, digest: str) -> Optional[JobRow]:
-        cursor = self._execute(
-            f"SELECT {', '.join(_ROW_COLUMNS)} FROM jobs"
-            f" WHERE digest = ? AND state IN ('queued', 'running') LIMIT 1",
-            (digest,),
-        )
-        values = cursor.fetchone()
-        return JobRow(values) if values is not None else None
-
-    def eligible(self, limit: int = 8) -> List[JobRow]:
-        """Queued rows whose backoff window has passed, best-priority first."""
-        cursor = self._execute(
-            f"SELECT {', '.join(_ROW_COLUMNS)} FROM jobs"
-            f" WHERE state = 'queued' AND not_before <= ?"
-            f" ORDER BY priority ASC, rowid ASC LIMIT ?",
-            (self._now(), limit),
-        )
-        return [JobRow(values) for values in cursor.fetchall()]
-
-    def queue_depth(self) -> int:
-        cursor = self._execute("SELECT COUNT(*) FROM jobs WHERE state = 'queued'")
-        return int(cursor.fetchone()[0])
-
-    def oldest_queued_age(self) -> Optional[float]:
-        cursor = self._execute(
-            "SELECT MIN(created_at) FROM jobs WHERE state = 'queued'"
-        )
-        oldest = cursor.fetchone()[0]
-        if oldest is None:
-            return None
-        # Clock skew (or an injected skew fault) must never yield a negative
-        # age — monitoring treats the field as a backlog gauge.
-        return max(0.0, self._now() - float(oldest))
-
     def counts(self) -> Dict[str, int]:
         cursor = self._execute("SELECT state, COUNT(*) FROM jobs GROUP BY state")
         return {state: int(count) for state, count in cursor.fetchall()}
@@ -438,7 +431,7 @@ class JobJournal:
     # Crash recovery
     # ------------------------------------------------------------------ #
     def recover(self) -> Tuple[List[JobRow], List[JobRow]]:
-        """Replay the journal after a (re)start.
+        """Replay the journal after a (re)start; the caller holds the lease.
 
         Returns ``(runnable, failed)``:
 
@@ -447,35 +440,21 @@ class JobJournal:
         * ``failed`` — orphaned RUNNING rows whose attempt budget was
           already spent; they are finished as FAILED here.
 
-        Orphan detection: a RUNNING row is orphaned when its owning process
-        is provably dead (same host, dead pid) or when it is stale — past
-        ``started_at + timeout + grace`` — for owners we cannot probe
-        (another host on a shared volume, or a pre-crash row with no owner).
+        The lease proves no other scheduler is alive on this journal, so
+        every RUNNING row, whatever its ``owner``, is an orphan.
         """
         failed: List[JobRow] = []
-        now = self._now()
+        now = journal_time()
         cursor = self._execute(
             f"SELECT {', '.join(_ROW_COLUMNS)} FROM jobs WHERE state = 'running'"
         )
         for values in cursor.fetchall():
             row = JobRow(values)
-            alive = _owner_alive(row.owner) if row.owner else False
-            if alive:
-                continue
-            if alive is None:
-                started = row.started_at or row.created_at
-                budget = row.timeout if row.timeout is not None else 0.0
-                if now < started + budget + STALE_GRACE_SECONDS:
-                    continue  # possibly still running on another box
-            # Atomically mark the orphan INTERRUPTED; a concurrent recoverer
-            # losing this UPDATE simply skips the row.
-            marked = self._execute(
+            self._execute(
                 "UPDATE jobs SET state = 'interrupted', owner = ''"
                 " WHERE id = ? AND state = 'running'",
                 (row.id,),
             )
-            if marked.rowcount != 1:
-                continue
             if row.attempts >= row.max_attempts:
                 self.finish(
                     row.id,

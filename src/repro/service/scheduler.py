@@ -7,34 +7,33 @@ synthesizer:
 * **Deduplication** — a submission whose request digest matches a job that
   is already queued or running attaches to that job instead of enqueueing
   a second copy; a submission whose digest is already in the result store
-  completes immediately without touching the queue at all.  With a journal
-  attached, both halves survive restarts and span processes: the journal's
-  partial unique index refuses a second active row per digest no matter
-  which server inserted the first.
+  completes immediately without touching the queue at all.
 * **Prioritisation** — jobs carry an integer priority (lower runs first);
   ties are broken by submission order, so equal-priority traffic is FIFO.
 * **Durability** — with a :class:`repro.service.journal.JobJournal`
-  attached, every submission is journaled *before* it is queued, every
-  state transition is a guarded SQLite ``UPDATE``, and construction
-  replays the journal: ``QUEUED`` rows are re-adopted and orphaned
-  ``RUNNING`` rows are marked ``INTERRUPTED`` and re-enqueued with
-  exponential backoff + deterministic jitter, up to each row's bounded
-  ``max_attempts``.  Several worker threads — or several server processes
-  sharing a volume — drain one queue; the journal's atomic ``claim`` is
-  the arbitration point.
+  attached, the scheduler takes the journal's exclusive lease (a second
+  owner gets :class:`~repro.service.journal.JournalBusy`) and holds it
+  until its last worker exits.  Every submission is journaled *before* it
+  is queued, every state transition is mirrored as a guarded SQLite
+  ``UPDATE``, and construction replays the journal: ``QUEUED`` rows are
+  re-adopted and ``RUNNING`` rows — orphans of the dead previous owner —
+  are marked ``INTERRUPTED`` and re-enqueued with exponential backoff +
+  deterministic jitter, up to each row's bounded ``max_attempts``.  The
+  in-memory queue alone decides what runs next; the journal mirrors it.
 * **Retry with backoff** — a *transient* failure (``OSError``, which
   covers oracle socket flakes, injected :class:`~repro.service.faults.
   TransientFault`\\ s and kin) re-enqueues the job with backoff instead of
   failing it, up to ``max_attempts`` runs; deterministic failures
   (anything that is not an ``OSError``) fail immediately.  Result-store
   writes get their own small in-place retry loop.
-* **Timeouts & cancellation** — each job carries a wall-clock budget.  With
-  a budget-aware executor such as :func:`repro.service.api.execute_request`
-  the budget becomes a cooperative :class:`repro.lifting.Budget` threaded
-  through the whole pipeline — oracle, search and validator all poll it —
-  so a deadline stops the synthesis instead of abandoning the worker
-  thread, running jobs can be cancelled, and the job's ``stage`` field
-  tracks live pipeline progress for ``GET /status``.
+* **Timeouts & cancellation** — each job carries a wall-clock budget.  The
+  executor is always called as ``executor(payload, budget=..., observer=...)``
+  (as :func:`repro.service.api.execute_request` is): the budget is a
+  cooperative :class:`repro.lifting.Budget` threaded through the whole
+  pipeline — oracle, search and validator all poll it — so a deadline stops
+  the synthesis instead of abandoning the worker thread, running jobs can
+  be cancelled, and the job's ``stage`` field tracks live pipeline progress
+  for ``GET /status``.
 
 Workers are always threads that call the executor in-process.  Multi-core
 parallelism belongs to the method, not the scheduler: a service built with
@@ -46,7 +45,6 @@ job itself keeps its budget, cancellation, live ``stage`` and trace.
 from __future__ import annotations
 
 import heapq
-import inspect
 import itertools
 import json
 import math
@@ -67,10 +65,10 @@ from ..obs.trace import TracingObserver, job_span_id
 from . import faults
 from .journal import (
     DEFAULT_MAX_ATTEMPTS,
-    DuplicateActiveDigest,
     JobJournal,
     JobRow,
     backoff_seconds,
+    journal_time,
     owner_token,
 )
 from .store import ResultStore
@@ -92,6 +90,9 @@ STORE_WRITE_ATTEMPTS = 3
 #: Fallback per-job duration estimate (s) for Retry-After before any job
 #: has completed.
 DEFAULT_DRAIN_ESTIMATE_SECONDS = 60.0
+
+#: Longest an idle worker sleeps before it looks at the queue again.
+_POLL_SECONDS = 0.2
 
 
 class JobState(str, Enum):
@@ -135,7 +136,7 @@ class Job:
     created_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    #: The cooperative budget bounding this job's run (budget-aware executors).
+    #: The cooperative budget bounding this job's run (set when claimed).
     budget: Optional[Budget] = field(default=None, repr=False)
     #: Set (under the scheduler lock) once the finished report is committed:
     #: from then on `cancel()` refuses rather than racing the store write.
@@ -202,22 +203,6 @@ class _JobObserver(LiftObserver):
             self._job.stage = f"portfolio winner:{member}"
 
 
-def _accepts_budget(executor: Callable) -> bool:
-    """True when *executor* takes ``budget``/``observer`` keyword arguments.
-
-    The scheduler only threads cooperative budgets into executors that opt
-    in via their signature (like :func:`repro.service.api.execute_request`);
-    plain single-argument executors keep the legacy calling convention.
-    """
-    try:
-        parameters = inspect.signature(executor).parameters
-    except (TypeError, ValueError):  # pragma: no cover - builtins, C callables
-        return False
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
-        return True
-    return "budget" in parameters and "observer" in parameters
-
-
 def _is_transient(error: BaseException) -> bool:
     """Transient = worth a backoff retry.
 
@@ -237,7 +222,7 @@ class JobScheduler:
 
     def __init__(
         self,
-        executor: Callable[[object], SynthesisReport],
+        executor: Callable[..., SynthesisReport],
         store: Optional[ResultStore] = None,
         workers: int = 2,
         provenance: Optional[Callable[[object], Dict[str, object]]] = None,
@@ -253,7 +238,6 @@ class JobScheduler:
         if workers < 1:
             raise ValueError(f"scheduler needs at least one worker, got {workers}")
         self._executor = executor
-        self._cooperative = _accepts_budget(executor)
         self._store = store
         self._provenance = provenance
         #: On a store miss, ``retrieval_probe(payload)`` reports how many
@@ -353,8 +337,15 @@ class JobScheduler:
         #: (finished_at, duration) of recent terminal jobs — the drain-rate
         #: sample backing Retry-After estimates.
         self._recent_finishes: deque = deque(maxlen=32)
-        if self._journal is not None:
-            self._recover_from_journal()
+        self._lease = journal.lease() if journal is not None else None
+        if self._lease is not None:
+            try:
+                self._recover_from_journal()
+            except BaseException:
+                self._lease.release()
+                raise
+        #: Workers still running; the last one out releases the lease.
+        self._live_workers = workers
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"lift-worker-{i}", daemon=True
@@ -462,8 +453,18 @@ class JobScheduler:
         # whether similar solved kernels exist to seed this lift with.
         self._probe_retrieval(payload, digest)
         job = self._make_job(digest, payload, priority, timeout)
-        if self._journal is not None:
-            try:
+        with self._lock:
+            # Re-check under the lock: another thread may have enqueued the
+            # same digest while we probed the store.  Journaling inside the
+            # same critical section keeps a duplicate out of the journal.
+            existing = self._active.get(digest)
+            if existing is not None:
+                existing.submissions += 1
+                self._deduplicated.inc()
+                if self._journal is not None:
+                    self._journal.record_attach(existing.id)
+                return existing
+            if self._journal is not None:
                 self._journal.insert(
                     job.id,
                     digest,
@@ -472,21 +473,6 @@ class JobScheduler:
                     timeout=timeout,
                     max_attempts=self._max_attempts,
                 )
-            except DuplicateActiveDigest as duplicate:
-                return self._attach_to_journaled(duplicate, payload)
-        with self._lock:
-            # Re-check under the lock: another thread may have enqueued the
-            # same digest while we probed the store / wrote the journal.
-            existing = self._active.get(digest)
-            if existing is not None:
-                existing.submissions += 1
-                self._deduplicated.inc()
-                if self._journal is not None:
-                    self._journal.record_attach(existing.id)
-                    self._journal.finish(
-                        job.id, "cancelled", error="coalesced onto " + existing.id
-                    )
-                return existing
             self._jobs[job.id] = job
             self._active[digest] = job
             heapq.heappush(self._queue, (priority, next(self._sequence), job))
@@ -533,41 +519,12 @@ class JobScheduler:
         except Exception:  # noqa: BLE001 - journal a marker, not nothing
             return json.dumps({"unencodable": repr(payload)})
 
-    def _attach_to_journaled(
-        self, duplicate: DuplicateActiveDigest, payload: object
-    ) -> Job:
-        """Coalesce onto an active row owned by this or another process."""
-        with self._lock:
-            local = self._jobs.get(duplicate.existing_id)
-            if local is not None and not local.state.terminal:
-                local.submissions += 1
-                self._deduplicated.inc()
-                self._journal.record_attach(local.id)
-                return local
-        # The active row belongs to another server process sharing this
-        # journal.  Record the attach and hand back a snapshot job; its id
-        # resolves via the journal for status/result lookups.
-        self._journal.record_attach(duplicate.existing_id)
-        with self._lock:
-            self._deduplicated.inc()
-        row = self._journal.row(duplicate.existing_id)
-        snapshot = self._materialize(row) if row is not None else None
-        if snapshot is None:  # pragma: no cover - row vanished mid-attach
-            snapshot = Job(
-                id=duplicate.existing_id, digest=duplicate.digest, payload=payload
-            )
-        try:
-            snapshot.state = JobState(row.state) if row is not None else JobState.QUEUED
-        except ValueError:  # pragma: no cover - unknown journal state
-            snapshot.state = JobState.QUEUED
-        return snapshot
-
     def _make_job(
         self, digest: str, payload: object, priority: int, timeout: Optional[float]
     ) -> Job:
         if self._journal is not None:
-            # Journal ids must stay unique across restarts and across
-            # processes sharing the database; a per-process sequence is not.
+            # Journal ids must stay unique across restarts; a per-process
+            # sequence is not.
             job_id = f"job-{uuid.uuid4().hex[:10]}-{digest[:8]}"
         else:
             with self._lock:
@@ -593,14 +550,9 @@ class JobScheduler:
             return self._jobs.get(job_id)
 
     def is_active(self, digest: str) -> bool:
-        """Whether *digest* has a queued/running job (here or, with a
-        journal, in any process sharing it) that a submission would join."""
+        """Whether *digest* has a queued/running job a submission would join."""
         with self._lock:
-            if digest in self._active:
-                return True
-        if self._journal is not None:
-            return self._journal.active_for_digest(digest) is not None
-        return False
+            return digest in self._active
 
     def evicted_digest(self, job_id: str) -> Optional[str]:
         """The digest of a job evicted from the retention ring, if known."""
@@ -616,13 +568,11 @@ class JobScheduler:
     def cancel(self, job_id: str) -> bool:
         """Cancel a job.
 
-        Queued jobs are removed immediately.  A *running* job can be
-        cancelled when the executor is budget-aware: its budget's
+        Queued jobs are removed immediately.  A *running* job's budget
         cancellation token is flipped and the synthesis pipeline winds down
         at its next poll point (a process-raced portfolio forwards the flip
         to its member processes), after which the job finishes as CANCELLED
-        (its truncated report is never written to the store).  Jobs of a
-        single-argument executor are not preempted.
+        (its truncated report is never written to the store).
         """
         with self._lock:
             job = self._jobs.get(job_id)
@@ -631,7 +581,7 @@ class JobScheduler:
             if job.state is JobState.RUNNING:
                 # A committed job's report is (being) stored; refuse rather
                 # than report a cancellation that can no longer take effect.
-                if job.budget is None or job._committed:
+                if job._committed:
                     return False
                 job.budget.cancel()
                 return True
@@ -645,9 +595,7 @@ class JobScheduler:
         return True
 
     def queue_depth(self) -> int:
-        """Jobs waiting to run (journal-wide when a journal is attached)."""
-        if self._journal is not None:
-            return self._journal.queue_depth()
+        """Jobs waiting to run."""
         with self._lock:
             return sum(
                 1 for job in self._jobs.values() if job.state is JobState.QUEUED
@@ -655,8 +603,6 @@ class JobScheduler:
 
     def oldest_queued_age(self) -> Optional[float]:
         """Age (s) of the oldest queued job — the backlog staleness gauge."""
-        if self._journal is not None:
-            return self._journal.oldest_queued_age()
         with self._lock:
             queued = [
                 job.created_at
@@ -759,21 +705,22 @@ class JobScheduler:
     # Workers
     # ------------------------------------------------------------------ #
     def _worker_loop(self) -> None:
-        while True:
-            job = self._claim_next()
-            if job is None:
-                return
-            self._run_job(job)
-
-    def _forget_locked(self, job: Job) -> None:
-        """Drop a local job another process claimed through the journal."""
-        self._jobs.pop(job.id, None)
-        if self._active.get(job.digest) is job:
-            self._active.pop(job.digest, None)
+        try:
+            while True:
+                job = self._claim_next()
+                if job is None:
+                    return
+                self._run_job(job)
+        finally:
+            with self._lock:
+                self._live_workers -= 1
+                last = self._live_workers == 0
+            if last and self._lease is not None:
+                self._lease.release()
 
     def _pop_runnable_locked(self) -> Tuple[Optional[Job], Optional[float]]:
         """Pop the best runnable heap entry; (job, seconds-until-eligible)."""
-        now = time.time()
+        now = journal_time()
         deferred: List[Tuple[int, int, Job]] = []
         claimed: Optional[Job] = None
         delay: Optional[float] = None
@@ -788,9 +735,11 @@ class JobScheduler:
             if self._journal is not None and not self._journal.claim(
                 job.id, self._owner
             ):
-                # Another process won the row (or an operator moved it);
-                # our local copy is stale.
-                self._forget_locked(job)
+                # The journal only mirrors this queue, so a refusal means its
+                # clock has not reached the backoff window yet (the wall
+                # clock stepped back).  Keep the job; ask again next poll.
+                job.not_before = now + _POLL_SECONDS
+                deferred.append(entry)
                 continue
             claimed = job
             break
@@ -802,8 +751,8 @@ class JobScheduler:
 
     def _claim_next(self) -> Optional[Job]:
         """Block until a job is claimed for this worker (None = shutdown)."""
-        while True:
-            with self._work_ready:
+        with self._work_ready:
+            while True:
                 if self._shutdown and (
                     not self._drain_on_shutdown or not self._queue
                 ):
@@ -812,55 +761,15 @@ class JobScheduler:
                 if job is not None:
                     # State flip + budget creation happen under the same
                     # lock acquisition, so cancel() never observes a running
-                    # cooperative job without a budget to cancel.
+                    # job without a budget to cancel.
                     job.state = JobState.RUNNING
                     job.started_at = time.time()
                     job.attempts += 1
-                    if self._cooperative:
-                        job.budget = Budget(timeout_seconds=job.timeout)
-                    return job
-                if self._journal is None:
-                    wait = min(delay, 0.2) if delay is not None else 0.2
-                    self._work_ready.wait(wait)
-                    continue
-            # Journal mode, outside the lock: adopt rows submitted by other
-            # processes (or left over from a recovery race).
-            job = self._adopt_external()
-            if job is not None:
-                return job
-            with self._work_ready:
-                if self._shutdown and (
-                    not self._drain_on_shutdown or not self._queue
-                ):
-                    return None
-                wait = min(delay, 0.2) if delay is not None else 0.2
-                self._work_ready.wait(wait)
-
-    def _adopt_external(self) -> Optional[Job]:
-        """Claim an eligible journal row this process has never seen."""
-        try:
-            rows = self._journal.eligible(limit=8)
-        except Exception:  # noqa: BLE001 - a sick journal must not kill workers
-            return None
-        for row in rows:
-            with self._lock:
-                if row.id in self._jobs:
-                    continue  # local job; the heap path owns it
-            if not self._journal.claim(row.id, self._owner):
-                continue
-            job = self._materialize(row)
-            if job is None:
-                continue
-            with self._lock:
-                job.state = JobState.RUNNING
-                job.started_at = time.time()
-                job.attempts = int(row.attempts) + 1
-                self._jobs[job.id] = job
-                self._active[job.digest] = job
-                if self._cooperative:
                     job.budget = Budget(timeout_seconds=job.timeout)
-            return job
-        return None
+                    return job
+                self._work_ready.wait(
+                    min(delay, _POLL_SECONDS) if delay is not None else _POLL_SECONDS
+                )
 
     def _maybe_retry(self, job: Job) -> bool:
         """Re-enqueue a transiently-failed job with backoff (True = retried)."""
@@ -876,7 +785,7 @@ class JobScheduler:
             if not_before is None:
                 return False
         else:
-            not_before = time.time() + backoff_seconds(job.id, job.attempts)
+            not_before = journal_time() + backoff_seconds(job.id, job.attempts)
         with self._work_ready:
             job.state = JobState.QUEUED
             job.not_before = not_before
@@ -923,9 +832,9 @@ class JobScheduler:
             job, "job.claimed", ts=job.started_at, attempts=job.attempts
         )
         if self._journal is not None and self._store is not None:
-            # Journal-recovered and cross-process jobs may have been
-            # answered between journaling and claiming (e.g. a pre-crash
-            # worker stored the result but died before finishing the row).
+            # Journal-recovered jobs may have been answered between
+            # journaling and claiming (e.g. a pre-crash worker stored the
+            # result but died before finishing the row).
             # Serving the stored answer here is what makes "no digest is
             # synthesized twice" hold across restarts.
             entry = self._store.get(job.digest)
@@ -938,31 +847,25 @@ class JobScheduler:
                 return
         lift_tracer: Optional[TracingObserver] = None
         try:
-            if self._cooperative:
-                # A budget-aware executor: the job's
-                # deadline becomes a cooperative budget (created by the
-                # worker loop, under the lock) threaded through the whole
-                # pipeline (oracle, search, validator), so a timeout stops
-                # the synthesis instead of abandoning the thread, and
-                # `cancel()` can stop a running job.
-                observer: LiftObserver = _JobObserver(job)
-                tracer = obs_trace.writer()
-                if tracer is not None:
-                    # Armed tracing: the lift's span tree hangs under the
-                    # job's lifetime span (trace_id = job id).
-                    self._trace_job_event(job, "job.running")
-                    lift_tracer = TracingObserver(
-                        tracer,
-                        task=self._task_label(job),
-                        trace_id=job.id,
-                        parent_id=job_span_id(job.id),
-                    )
-                    observer = CompositeObserver(observer, lift_tracer)
-                report = self._executor(
-                    job.payload, budget=job.budget, observer=observer
+            # The job's deadline is a cooperative budget (created by the
+            # worker loop, under the lock) threaded through the whole
+            # pipeline (oracle, search, validator), so a timeout stops the
+            # synthesis instead of abandoning the thread, and `cancel()` can
+            # stop a running job.
+            observer: LiftObserver = _JobObserver(job)
+            tracer = obs_trace.writer()
+            if tracer is not None:
+                # Armed tracing: the lift's span tree hangs under the job's
+                # lifetime span (trace_id = job id).
+                self._trace_job_event(job, "job.running")
+                lift_tracer = TracingObserver(
+                    tracer,
+                    task=self._task_label(job),
+                    trace_id=job.id,
+                    parent_id=job_span_id(job.id),
                 )
-            else:
-                report = self._executor(job.payload)
+                observer = CompositeObserver(observer, lift_tracer)
+            report = self._executor(job.payload, budget=job.budget, observer=observer)
         except BaseException as error:  # noqa: BLE001 - never kill a worker
             job.error = f"{type(error).__name__}: {error}"
             if lift_tracer is not None:

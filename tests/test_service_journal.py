@@ -1,28 +1,35 @@
 """Tests for the crash-safe SQLite job journal and its scheduler wiring.
 
 The unit half drives :class:`JobJournal` directly — atomic transitions,
-duplicate-digest refusal, bounded-retry requeues, orphan recovery.  The
-integration half runs journal-backed :class:`JobScheduler` instances
-through submit/retry/restart flows, including the "pretend this process
-just crashed" path: write rows into a journal, open a *new* scheduler on
-it, and watch the work come back.
+duplicate-digest refusal, bounded-retry requeues, orphan recovery, the
+single-owner lease.  The integration half runs journal-backed
+:class:`JobScheduler` instances through submit/retry/restart flows,
+including the "pretend this process just crashed" path: write rows into a
+journal, open a *new* scheduler on it, and watch the work come back.  The
+last part drives ``repro jobs`` over a journal, live and offline.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
 import socket
 import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.core.result import SynthesisReport
 from repro.service import (
     JobJournal,
     JobScheduler,
     JobState,
+    JournalBusy,
     LiftRequest,
     LiftingService,
     ResultStore,
@@ -30,15 +37,17 @@ from repro.service import (
     resolve_journal_path,
 )
 from repro.service import faults
-from repro.service.journal import (
-    BACKOFF_CAP_SECONDS,
-    DuplicateActiveDigest,
-    owner_token,
-)
+from repro.service.journal import BACKOFF_CAP_SECONDS, JournalError
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def _report(name: str = "t", success: bool = True) -> SynthesisReport:
     return SynthesisReport(task_name=name, method="test", success=success)
+
+
+def _echo(payload, budget=None, observer=None) -> SynthesisReport:
+    return _report(str(payload))
 
 
 def _dead_pid() -> int:
@@ -93,14 +102,12 @@ class TestTransitions:
         assert row.timeout == 30.0
         assert row.attempts == 0
         assert not row.terminal
-        assert journal.queue_depth() == 1
-        assert journal.oldest_queued_age() >= 0.0
+        assert journal.counts() == {"queued": 1}
 
     def test_duplicate_active_digest_is_refused(self, journal):
         journal.insert("j1", "dup" * 4, "{}")
-        with pytest.raises(DuplicateActiveDigest) as excinfo:
+        with pytest.raises(JournalError):
             journal.insert("j2", "dup" * 4, "{}")
-        assert excinfo.value.existing_id == "j1"
         # Once the first row is terminal, the digest is free again.
         assert journal.claim("j1")
         assert journal.finish("j1", "succeeded")
@@ -181,12 +188,26 @@ class TestRecovery:
         assert row.not_before > time.time()  # backoff applied
         assert "interrupted by a crash" in row.error
 
-    def test_recover_leaves_live_owners_alone(self, journal):
-        journal.insert("j1", "d1", "{}")
-        assert journal.claim("j1", owner_token())  # this process: alive
-        runnable, failed = journal.recover()
-        assert runnable == [] and failed == []
-        assert journal.row("j1").state == "running"
+    def test_recover_under_the_lease_requeues_every_running_row(self, journal):
+        # Whoever the owner column names — this very process, another host,
+        # nobody — the lease proves it is gone, so every RUNNING row is an
+        # orphan.
+        owners = [f"{socket.gethostname()}:{os.getpid()}", "elsewhere:12345", ""]
+        for number, owner in enumerate(owners):
+            journal.insert(f"j{number}", f"d{number}", "{}", timeout=3600.0)
+            assert journal.claim(f"j{number}", owner)
+        lease = journal.lease()
+        try:
+            runnable, failed = journal.recover()
+        finally:
+            lease.release()
+        assert failed == []
+        assert sorted(row.id for row in runnable) == ["j0", "j1", "j2"]
+        for number in range(len(owners)):
+            row = journal.row(f"j{number}")
+            assert row.state == "queued"
+            assert row.owner == ""
+            assert "interrupted by a crash" in row.error
 
     def test_recover_fails_orphans_past_their_attempt_budget(self, journal):
         journal.insert("j1", "d1", "{}", max_attempts=1)
@@ -199,16 +220,6 @@ class TestRecovery:
         assert row.state == "failed"
         assert "max_attempts=1 exhausted" in row.error
 
-    def test_recover_declares_unprobeable_owners_stale_after_grace(self, journal):
-        journal.insert("j1", "d1", "{}", timeout=1.0)
-        assert journal.claim("j1", "elsewhere:12345")  # other host: unprobeable
-        runnable, _ = journal.recover()
-        assert runnable == []  # within timeout + grace: assumed running
-        # An injected clock skew pushes the journal past the staleness
-        # horizon without sleeping through the real grace period.
-        faults.configure({"clock": "skew3600"})
-        runnable, _ = journal.recover()
-        assert [row.id for row in runnable] == ["j1"]
 
 
 # ---------------------------------------------------------------------- #
@@ -218,7 +229,7 @@ class TestJournalScheduler:
     def test_submission_is_journaled_through_to_terminal(self, tmp_path):
         journal = JobJournal(tmp_path)
         scheduler = JobScheduler(
-            lambda payload: _report(str(payload)), workers=1, journal=journal
+            lambda payload, **_: _report(str(payload)), workers=1, journal=journal
         )
         try:
             job = scheduler.submit("x", digest="d1" * 8)
@@ -235,7 +246,7 @@ class TestJournalScheduler:
         journal = JobJournal(tmp_path)
         calls = []
 
-        def flaky(payload):
+        def flaky(payload, budget=None, observer=None):
             calls.append(payload)
             if len(calls) < 3:
                 raise OSError("oracle connection reset")
@@ -258,7 +269,7 @@ class TestJournalScheduler:
         journal = JobJournal(tmp_path)
         calls = []
 
-        def broken(payload):
+        def broken(payload, budget=None, observer=None):
             calls.append(payload)
             raise ValueError("bad grammar")
 
@@ -278,7 +289,7 @@ class TestJournalScheduler:
         journal = JobJournal(tmp_path)
         calls = []
 
-        def always_flaky(payload):
+        def always_flaky(payload, budget=None, observer=None):
             calls.append(payload)
             raise OSError("still down")
 
@@ -303,7 +314,7 @@ class TestJournalScheduler:
         journal = JobJournal(tmp_path)
         calls = []
 
-        def executor(payload):
+        def executor(payload, budget=None, observer=None):
             calls.append(payload)
             return _report(str(payload))
 
@@ -330,7 +341,7 @@ class TestJournalScheduler:
         setup.close()
         journal = JobJournal(tmp_path)
         scheduler = JobScheduler(
-            lambda payload: _report(str(payload)), workers=1, journal=journal
+            lambda payload, **_: _report(str(payload)), workers=1, journal=journal
         )
         try:
             deadline = time.time() + 10
@@ -355,7 +366,7 @@ class TestJournalScheduler:
         journal = JobJournal(tmp_path / "data")
         calls = []
 
-        def executor(payload):  # pragma: no cover - must not run
+        def executor(payload, budget=None, observer=None):  # pragma: no cover - must not run
             calls.append(payload)
             return _report(str(payload))
 
@@ -379,7 +390,7 @@ class TestJournalScheduler:
         journal = JobJournal(tmp_path)
         release = threading.Event()
 
-        def gated(payload):
+        def gated(payload, budget=None, observer=None):
             assert release.wait(10)
             return _report(str(payload))
 
@@ -391,6 +402,57 @@ class TestJournalScheduler:
             release.set()
             assert first.wait(10)
             assert journal.row(first.id).submissions == 2
+        finally:
+            scheduler.shutdown()
+            journal.close()
+
+
+    def test_retry_under_negative_clock_skew_keeps_the_submitted_job(self, tmp_path):
+        # With the journal clock behind the wall clock, a retried job looked
+        # due to the scheduler before the journal let it be claimed.  The
+        # refused claim used to drop the job: a second Job object then ran
+        # the row while the one submit() returned stayed queued forever.
+        faults.configure({"clock": "skew-5"})
+        journal = JobJournal(tmp_path)
+        calls = []
+
+        def flaky_once(payload, budget=None, observer=None):
+            calls.append(payload)
+            if len(calls) == 1:
+                raise OSError("oracle connection reset")
+            return _report(str(payload))
+
+        scheduler = JobScheduler(flaky_once, workers=1, journal=journal)
+        try:
+            job = scheduler.submit("x", digest="dk" * 8)
+            assert job.wait(12)
+            assert job.state is JobState.SUCCEEDED
+            assert scheduler.job(job.id) is job
+            assert len(calls) == 2
+        finally:
+            scheduler.shutdown()
+            journal.close()
+
+    def test_a_refused_claim_defers_the_job_instead_of_dropping_it(self, tmp_path):
+        journal = JobJournal(tmp_path)
+        claim = journal.claim
+        refusals = []
+
+        def refuse_once(job_id, owner=None):
+            if not refusals:
+                refusals.append(job_id)
+                return False
+            return claim(job_id, owner)
+
+        journal.claim = refuse_once
+        scheduler = JobScheduler(_echo, workers=1, journal=journal)
+        try:
+            job = scheduler.submit("x", digest="dc" * 8)
+            assert job.wait(10)
+            assert refusals == [job.id]
+            assert job.state is JobState.SUCCEEDED
+            assert scheduler.job(job.id) is job
+            assert journal.row(job.id).state == "succeeded"
         finally:
             scheduler.shutdown()
             journal.close()
@@ -431,7 +493,7 @@ class TestServiceRestart:
         release = threading.Event()
         started = threading.Event()
 
-        def gated(payload):
+        def gated(payload, budget=None, observer=None):
             started.set()
             assert release.wait(10)
             return _report(str(payload))
@@ -453,7 +515,7 @@ class TestServiceRestart:
         # The queued row is adopted by the next scheduler on this journal.
         journal2 = JobJournal(tmp_path)
         scheduler2 = JobScheduler(
-            lambda payload: _report(str(payload)), workers=1, journal=journal2
+            lambda payload, **_: _report(str(payload)), workers=1, journal=journal2
         )
         try:
             assert scheduler2.stats()["recovered"] == 1
@@ -466,3 +528,184 @@ class TestServiceRestart:
         finally:
             scheduler2.shutdown()
             journal2.close()
+
+
+# ---------------------------------------------------------------------- #
+# The single-owner lease
+# ---------------------------------------------------------------------- #
+#: Takes the lease on argv[1], optionally forks a child that outlives it
+#: (argv[2] == "fork"), prints the child's pid (0 when none) and sleeps.
+_LEASE_HOLDER = """
+import os, sys, time
+from repro.service import JobJournal
+lease = JobJournal(sys.argv[1]).lease()
+child = 0
+if sys.argv[2] == "fork":
+    child = os.fork()
+    if child == 0:
+        time.sleep(60)
+        os._exit(0)
+print(child, flush=True)
+time.sleep(60)
+"""
+
+
+class TestLease:
+    def _hold_in_subprocess(self, path, mode: str = "plain"):
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        holder = subprocess.Popen(
+            [sys.executable, "-c", _LEASE_HOLDER, str(path), mode],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        line = holder.stdout.readline()
+        holder.stdout.close()
+        assert line.strip().isdigit(), f"lease holder failed to start: {line!r}"
+        return holder, int(line)
+
+    def _assert_busy(self, path) -> None:
+        journal = JobJournal(path)
+        try:
+            with pytest.raises(JournalBusy, match=str(journal.path)):
+                JobScheduler(_echo, workers=1, journal=journal)
+        finally:
+            journal.close()
+
+    def _assert_free(self, path) -> None:
+        journal = JobJournal(path)
+        scheduler = JobScheduler(_echo, workers=1, journal=journal)
+        scheduler.shutdown()
+        journal.close()
+
+    def test_second_scheduler_in_process_is_refused(self, tmp_path):
+        journal = JobJournal(tmp_path)
+        # More workers than cores and a short switch interval: a lost update
+        # of the live-worker count would leave the lease held below.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            scheduler = JobScheduler(_echo, workers=8, journal=journal)
+            try:
+                self._assert_busy(tmp_path)
+            finally:
+                scheduler.shutdown(timeout=10)
+                journal.close()
+            assert not any(worker.is_alive() for worker in scheduler._workers)
+        finally:
+            sys.setswitchinterval(interval)
+        # The last worker out released the lease.
+        self._assert_free(tmp_path)
+
+    def test_second_service_on_a_leased_journal_is_refused(self, tmp_path):
+        service = LiftingService(workers=1, journal=tmp_path)
+        try:
+            with pytest.raises(JournalBusy):
+                LiftingService(workers=1, journal=tmp_path)
+        finally:
+            service.close()
+
+    def test_scheduler_is_refused_while_a_subprocess_holds_the_lease(self, tmp_path):
+        holder, _ = self._hold_in_subprocess(tmp_path)
+        try:
+            self._assert_busy(tmp_path)
+        finally:
+            holder.kill()
+            holder.wait(10)
+
+    def test_lease_is_free_at_once_after_the_holder_is_sigkilled(self, tmp_path):
+        holder, _ = self._hold_in_subprocess(tmp_path)
+        holder.send_signal(signal.SIGKILL)
+        holder.wait(10)
+        self._assert_free(tmp_path)
+
+    def test_a_forked_child_of_a_killed_holder_does_not_keep_the_lease(
+        self, tmp_path
+    ):
+        holder, child = self._hold_in_subprocess(tmp_path, "fork")
+        try:
+            assert child > 0
+            holder.send_signal(signal.SIGKILL)
+            holder.wait(10)
+            os.kill(child, 0)  # the child still runs (raises if it does not)
+            self._assert_free(tmp_path)
+        finally:
+            holder.kill()
+            holder.wait(10)
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+# ---------------------------------------------------------------------- #
+# `repro jobs`: listing (live or offline) and offline --requeue
+# ---------------------------------------------------------------------- #
+class TestJobsCommand:
+    @pytest.fixture()
+    def path(self, tmp_path):
+        journal = JobJournal(tmp_path)
+        journal.insert("job-failed", "df" * 8, "{}", max_attempts=1)
+        assert journal.claim("job-failed")
+        assert journal.finish("job-failed", "failed", error="boom")
+        journal.insert("job-ok", "d0" * 8, "{}")
+        assert journal.claim("job-ok")
+        assert journal.finish("job-ok", "succeeded")
+        path = journal.path
+        journal.close()
+        return path
+
+    def _jobs(self, capsys, path, *args):
+        status = cli.main(["jobs", "--journal", str(path), *args])
+        out, err = capsys.readouterr()
+        return status, out, err
+
+    def test_listing_and_counts(self, capsys, path):
+        status, out, _ = self._jobs(capsys, path)
+        assert status == 0
+        assert "job-failed" in out and "job-ok" in out
+        assert "boom" in out
+        assert out.splitlines()[-1] == "(2 shown; failed=1, succeeded=1)"
+
+    def test_state_filter(self, capsys, path):
+        status, out, _ = self._jobs(capsys, path, "--state", "failed")
+        assert status == 0
+        assert "job-failed" in out and "job-ok" not in out
+        assert out.splitlines()[-1] == "(1 shown; failed=1, succeeded=1)"
+
+    def test_requeue_of_a_failed_job(self, capsys, path):
+        status, out, _ = self._jobs(capsys, path, "--requeue", "job-failed")
+        assert status == 0
+        assert "requeued job-failed (was failed)" in out
+        journal = JobJournal(path)
+        try:
+            row = journal.row("job-failed")
+            assert row.state == "queued"
+            assert row.attempts == 0
+        finally:
+            journal.close()
+
+    @pytest.mark.parametrize("job_id", ["job-ok", "job-never-existed"])
+    def test_requeue_of_a_succeeded_or_unknown_job_fails(self, capsys, path, job_id):
+        status, _, err = self._jobs(capsys, path, "--requeue", job_id)
+        assert status == 1
+        assert job_id in err
+
+    def test_requeue_is_refused_while_a_scheduler_holds_the_lease(
+        self, capsys, path
+    ):
+        journal = JobJournal(path)
+        scheduler = JobScheduler(_echo, workers=1, journal=journal)
+        try:
+            status, out, err = self._jobs(capsys, path, "--requeue", "job-failed")
+            assert status == 1
+            assert "requeue refused" in err and str(path) in err
+            # Listing needs no lease: it still works on the live journal.
+            assert out.splitlines()[-1] == "(2 shown; failed=1, succeeded=1)"
+            status, out, _ = self._jobs(capsys, path)
+            assert status == 0
+            assert "job-failed" in out
+            assert journal.row("job-failed").state == "failed"
+        finally:
+            scheduler.shutdown()
+            journal.close()

@@ -163,12 +163,12 @@ class TestCooperativeTimeout:
             assert "stage" not in job.status_dict()
 
     def test_queued_job_cancel_still_works(self):
-        scheduler = JobScheduler(lambda payload: SynthesisReport("t", "m", False))
+        scheduler = JobScheduler(lambda payload, **_: SynthesisReport("t", "m", False))
         try:
             # Stall the single worker...
             blocker = Budget()
 
-            def slow(payload):
+            def slow(payload, budget=None, observer=None):
                 while not blocker.expired():
                     time.sleep(0.01)
                 return SynthesisReport("t", "m", False)

@@ -27,7 +27,7 @@ class _Gate:
         self.calls = []
         self.lock = threading.Lock()
 
-    def __call__(self, payload):
+    def __call__(self, payload, budget=None, observer=None):
         with self.lock:
             first = not self.calls
             self.calls.append(payload)
@@ -39,7 +39,7 @@ class _Gate:
 
 class TestScheduling:
     def test_runs_a_job_to_completion(self):
-        scheduler = JobScheduler(lambda payload: _report(str(payload)), workers=1)
+        scheduler = JobScheduler(lambda payload, **_: _report(str(payload)), workers=1)
         try:
             job = scheduler.submit("x", digest="d1")
             assert job.wait(10)
@@ -99,7 +99,7 @@ class TestScheduling:
         store.put("seen" * 16, _report("cached-task"))
         calls = []
 
-        def executor(payload):
+        def executor(payload, budget=None, observer=None):
             calls.append(payload)
             return _report(str(payload))
 
@@ -117,7 +117,7 @@ class TestScheduling:
     def test_completed_jobs_persist_to_store(self, tmp_path):
         store = ResultStore(tmp_path)
         scheduler = JobScheduler(
-            lambda payload: _report(str(payload)), store=store, workers=1
+            lambda payload, **_: _report(str(payload)), store=store, workers=1
         )
         try:
             job = scheduler.submit("x", digest="ab" * 32)
@@ -127,7 +127,7 @@ class TestScheduling:
             scheduler.shutdown()
 
     def test_executor_exception_fails_the_job(self):
-        def executor(payload):
+        def executor(payload, budget=None, observer=None):
             raise RuntimeError("kaboom")
 
         scheduler = JobScheduler(executor, workers=1)
@@ -143,7 +143,7 @@ class TestScheduling:
         # concurrent.futures.TimeoutError is builtin TimeoutError on 3.11+;
         # an executor raising it must fail the job, not kill the worker and
         # wedge the digest in the in-flight set.
-        def executor(payload):
+        def executor(payload, budget=None, observer=None):
             raise TimeoutError("oracle socket timed out")
 
         scheduler = JobScheduler(executor, workers=1)
@@ -163,7 +163,7 @@ class TestScheduling:
     def test_transient_failures_retry_in_memory(self):
         calls = []
 
-        def flaky(payload):
+        def flaky(payload, budget=None, observer=None):
             calls.append(payload)
             if len(calls) < 2:
                 raise OSError("socket flake")
@@ -191,7 +191,7 @@ class TestScheduling:
 
         store.put = flaky_put
         scheduler = JobScheduler(
-            lambda payload: _report(str(payload)), store=store, workers=1
+            lambda payload, **_: _report(str(payload)), store=store, workers=1
         )
         try:
             job = scheduler.submit("x", digest="ab" * 32)
@@ -204,7 +204,7 @@ class TestScheduling:
 
     def test_jobs_are_evicted_beyond_retention(self):
         scheduler = JobScheduler(
-            lambda payload: _report(str(payload)), workers=1, job_retention=3
+            lambda payload, **_: _report(str(payload)), workers=1, job_retention=3
         )
         try:
             jobs = [scheduler.submit(i, digest=f"d{i}") for i in range(6)]
@@ -239,7 +239,7 @@ class TestScheduling:
 
     def test_evicted_jobs_leave_digest_crumbs(self):
         scheduler = JobScheduler(
-            lambda payload: _report(str(payload)), workers=1, job_retention=1
+            lambda payload, **_: _report(str(payload)), workers=1, job_retention=1
         )
         try:
             jobs = [scheduler.submit(i, digest=f"dcrumb{i}") for i in range(3)]
@@ -311,7 +311,7 @@ class TestScheduling:
             scheduler.shutdown()
 
     def test_lookup_and_status_dict(self):
-        scheduler = JobScheduler(lambda payload: _report(), workers=1)
+        scheduler = JobScheduler(lambda payload, **_: _report(), workers=1)
         try:
             job = scheduler.submit("x", digest="dd" * 32)
             assert scheduler.job(job.id) is job
@@ -326,10 +326,10 @@ class TestScheduling:
 
     def test_rejects_nonpositive_worker_count(self):
         with pytest.raises(ValueError):
-            JobScheduler(lambda payload: _report(), workers=0)
+            JobScheduler(lambda payload, **_: _report(), workers=0)
 
     def test_submit_after_shutdown_raises(self):
-        scheduler = JobScheduler(lambda payload: _report(), workers=1)
+        scheduler = JobScheduler(lambda payload, **_: _report(), workers=1)
         scheduler.shutdown()
         with pytest.raises(RuntimeError):
             scheduler.submit("x", digest="dz")
