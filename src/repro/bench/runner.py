@@ -93,7 +93,8 @@ def check_cold_path(path: Path) -> None:
     """
     parent = path.resolve().parent
     for probe in (parent, *parent.parents):
-        if (probe / "v1" / "objects").is_dir() or any(
+        # Any store schema version (v1/objects, v2/objects, ...).
+        if any(objects.is_dir() for objects in probe.glob("v[0-9]*/objects")) or any(
             probe.glob("*.journal.sqlite3")
         ):
             raise BenchColdPathError(

@@ -32,8 +32,22 @@ lane arrays.
 Some code cannot run in lockstep: a condition or a subscript whose lanes
 disagree, or a lane that traps (a :class:`CRuntimeError` such as division by
 zero).  Such a run raises :class:`LaneDivergence`; the caller then runs the
-lanes one at a time.  Pass lane values for scalar parameters as lane arrays
-and for pointer parameters as a list with one lane array per element.
+lanes one at a time — or, when the divergence names the lanes that divide by
+zero (:attr:`LaneDivergence.trapped`), reruns the other lanes in lockstep.
+Pass lane values for scalar parameters as lane arrays and for pointer
+parameters as a list with one lane array per element.
+
+Polynomial values
+-----------------
+
+In exact mode a floating value may also be a :class:`~repro.core.poly.Poly`,
+a polynomial in input variables, and a run then computes each output as a
+polynomial of the inputs.  ``+``, ``-``, ``*`` and division by a constant
+stay polynomial.  Whatever needs a non-constant value — a condition, a
+comparison, a subscript, a math call, division by it, or a store into an
+``int`` — raises :class:`~repro.core.poly.NotPolynomial`, which is not a
+:class:`CRuntimeError`: the run cannot be done symbolically, but no input
+traps.
 """
 
 from __future__ import annotations
@@ -46,6 +60,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.poly import NotPolynomial, Poly
 from .ast import (
     ArrayIndex,
     Assignment,
@@ -81,7 +96,7 @@ MODES = ("int", "float", "exact")
 #: non-termination in malformed kernels.
 DEFAULT_STEP_LIMIT = 20_000_000
 
-Number = Union[int, float, Fraction]
+Number = Union[int, float, Fraction, Poly]
 
 #: The C comparison operators and the Python predicates they map to.
 _COMPARISONS = {
@@ -98,8 +113,16 @@ class LaneDivergence(Exception):
     """A lane-valued run cannot continue in lockstep.
 
     Raised when a condition or a subscript differs between lanes, or when any
-    lane traps.  The lanes must then be run one at a time.
+    lane traps.  The lanes must then be run one at a time, unless
+    :attr:`trapped` is set.
     """
+
+    def __init__(self, message: str, trapped: Optional[np.ndarray] = None) -> None:
+        super().__init__(message)
+        #: When some lanes divide by zero (and so trap run alone): their
+        #: boolean mask.  Up to that division every lane ran exactly as it
+        #: would alone, so the other lanes can be rerun without them.
+        self.trapped = trapped
 
 
 def _is_lanes(value) -> bool:
@@ -268,7 +291,7 @@ class CInterpreter:
             values = [v for v in raw.reshape(-1).tolist()]
         elif isinstance(raw, (list, tuple)):
             values = list(raw)
-        elif isinstance(raw, (int, float, Fraction)):
+        elif isinstance(raw, (int, float, Fraction, Poly)):
             values = [raw]
         else:
             raise CTypeError(f"cannot pass {type(raw).__name__} for pointer parameter")
@@ -289,7 +312,9 @@ class CInterpreter:
             raise CTypeError("cannot pass a pointer where a scalar is expected")
         if self._mode == "exact":
             if ctype.base in ("float", "double"):
-                return raw if isinstance(raw, Fraction) else Fraction(raw)
+                return raw if isinstance(raw, (Fraction, Poly)) else Fraction(raw)
+            if isinstance(raw, Poly):
+                raise NotPolynomial(f"a non-constant {ctype.base} argument")
             if ctype.base == "int" or not ctype.is_floating:
                 # Integers stay integers so that C integer division semantics
                 # remain observable even in exact mode.
@@ -511,10 +536,12 @@ class CInterpreter:
             return left * right
         if op in _COMPARISONS:
             helper = functools.partial(self._compare, op)
-        elif op == "/":
-            helper = self._divide
-        elif op == "%":
-            helper = _modulo
+        elif op in ("/", "%"):
+            helper = self._divide if op == "/" else _modulo
+            if _is_lanes(right):
+                zero = right == 0
+                if zero.any():
+                    raise LaneDivergence("a lane divides by zero", trapped=zero)
         else:
             raise CRuntimeError(f"unsupported binary operator {op!r}")
         if _is_lanes(left) or _is_lanes(right):
@@ -522,6 +549,8 @@ class CInterpreter:
         return helper(left, right)
 
     def _divide(self, left: Number, right: Number) -> Number:
+        if isinstance(right, Poly):
+            raise NotPolynomial("division by a non-constant value")
         if right == 0:
             raise CRuntimeError("division by zero")
         both_int = isinstance(left, int) and isinstance(right, int)
@@ -530,6 +559,9 @@ class CInterpreter:
             quotient = abs(left) // abs(right)
             return quotient if (left >= 0) == (right >= 0) else -quotient
         if self._mode == "exact":
+            # A Fraction or Poly divided by an int or Fraction stays exact.
+            if isinstance(left, (Fraction, Poly)) and isinstance(right, (int, Fraction)):
+                return left / right
             return Fraction(left) / Fraction(right)
         return left / right
 
@@ -558,6 +590,8 @@ class CInterpreter:
     def _eval_call(self, expr: Call, env: Dict[str, Value]) -> Value:
         args = [self._eval(arg, env) for arg in expr.args]
         name = expr.name
+        if any(isinstance(arg, Poly) for arg in args):
+            raise NotPolynomial(f"{name}() of a non-constant value")
         if name in ("abs", "labs", "fabs", "fabsf"):
             helper, args = abs, args[:1]
         elif name in ("fmax", "fmaxf", "max"):
@@ -625,21 +659,20 @@ class CInterpreter:
         if ctype.is_pointer:
             return value
         if ctype.base == "int" and not ctype.is_pointer:
-            if isinstance(value, Fraction):
-                if value.denominator == 1:
-                    return int(value)
-                return int(value.numerator // value.denominator)
-            if isinstance(value, float):
-                return int(value)
+            # int() truncates toward zero, as C does, for Fractions and
+            # floats alike; a Poly raises NotPolynomial.
             return int(value)
         if self._mode == "exact":
-            return value if isinstance(value, Fraction) else Fraction(value)
+            return value if isinstance(value, (Fraction, Poly)) else Fraction(value)
         if self._mode == "float":
             return float(value)
         return value
 
     @staticmethod
     def _truthy(value: Value) -> bool:
+        # A Poly's comparisons, truth value and int() raise NotPolynomial, so
+        # a value-dependent condition, comparison or subscript cannot run
+        # symbolically.
         if isinstance(value, Pointer):
             return True
         if _is_lanes(value):

@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", required=True,
         help="result store root (the directory `--cache-dir` points at "
         "elsewhere); the index lives beside the objects under "
-        "v1/index/",
+        "v2/index/",
     )
     index_stats = index_sub.add_parser(
         "stats", help="summarize the index (rows, solved rows, coverage)"

@@ -13,6 +13,11 @@ and the lane-batch methods (:meth:`~IOExampleGenerator.draw_lanes`,
 :meth:`~IOExampleGenerator.run_lanes`) share that plan, and drawing a lane
 batch consumes the random generator exactly as one ``generate_one`` call per
 lane would.
+
+:meth:`IOExampleGenerator.run_symbolic` runs the kernel once with every free
+input element and every initial output element a polynomial variable
+(:mod:`repro.core.poly`), for proving equivalence; it draws nothing from the
+random generator.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import numpy as np
 
 from ..cfront import CInterpreter, FunctionDef
 from ..cfront.analysis import ArgumentKind, OutputKind, SignatureInfo, analyze_signature
+from .poly import Poly
 from .task import LiftingTask
 
 #: Default value range for randomly generated tensor elements.  Small odd
@@ -127,6 +133,19 @@ class LaneBatch:
     #: for pointers, plain ints for sizes.
     call_args: Dict[str, object]
 
+    def subset(self, lanes: np.ndarray) -> "LaneBatch":
+        """The batch restricted to the lanes at indices *lanes*, in order."""
+        call_args: Dict[str, object] = {}
+        for name, value in self.call_args.items():
+            if isinstance(value, list):
+                call_args[name] = [column[lanes] for column in value]
+            elif isinstance(value, np.ndarray):
+                call_args[name] = value[lanes]
+            else:
+                call_args[name] = value
+        inputs = {name: value[lanes] for name, value in self.inputs.items()}
+        return LaneBatch(self.plan, len(lanes), inputs, call_args)
+
     def example(self, lane: int, outputs: np.ndarray) -> IOExample:
         """Lane *lane* as an :class:`IOExample`, given the batch's outputs."""
         inputs: Dict[str, Union[int, Fraction, np.ndarray]] = {}
@@ -144,6 +163,38 @@ class LaneBatch:
             output_name=self.plan.output_name,
             sizes=dict(self.plan.sizes),
         )
+
+
+@dataclass
+class SymbolicRun:
+    """The kernel run once on polynomial variables at one sizes value."""
+
+    plan: ArgumentPlan
+    #: Free inputs by argument name: Poly scalars and object arrays of Polys
+    #: shaped like the recorded inputs of an :class:`IOExample`.
+    inputs: Dict[str, Union[Poly, np.ndarray]]
+    #: The output as polynomials (or constants), shaped like an example's.
+    output: Union[Poly, Fraction, np.ndarray]
+    #: Variable id -> (argument name, flat element index); includes the
+    #: output buffer's initial elements.
+    variables: List[Tuple[str, int]]
+
+    def values(self, point: Mapping[int, int]) -> Dict[str, Union[int, List[int]]]:
+        """*point* (variable id -> value) as ``generate_one``'s ``values``.
+
+        Every drawn argument is fixed, the output buffer included, so the
+        example draws nothing from the random generator.
+        """
+        fixed: Dict[str, Union[int, List[int]]] = {}
+        for slot in self.plan.slots:
+            if slot.kind == "array":
+                fixed[slot.name] = [0] * slot.count
+        for ident, (name, index) in enumerate(self.variables):
+            if isinstance(fixed.get(name), list):
+                fixed[name][index] = point[ident]  # type: ignore[index]
+            else:
+                fixed[name] = point[ident]
+        return fixed
 
 
 class IOExampleGenerator:
@@ -338,6 +389,43 @@ class IOExampleGenerator:
                 inputs[slot.name] = table[:, start:stop].reshape((count,) + slot.shape)
             start = stop
         return LaneBatch(plan, count, inputs, call_args)
+
+    def run_symbolic(self, sizes: Optional[Mapping[str, int]]) -> SymbolicRun:
+        """Run the kernel once with every drawn element a polynomial variable.
+
+        Raises :class:`~repro.core.poly.NotPolynomial` when the run needs the
+        value of an input, and :class:`~repro.cfront.errors.CRuntimeError`
+        when the kernel traps at these sizes (then it traps on every input).
+        """
+        plan = self.plan(sizes)
+        variables: List[Tuple[str, int]] = []
+        call_args: Dict[str, object] = {}
+        inputs: Dict[str, Union[Poly, np.ndarray]] = {}
+        for slot in plan.slots:
+            if slot.kind == "size":
+                call_args[slot.name] = slot.size
+                continue
+            elements = []
+            for index in range(slot.count):
+                elements.append(Poly.variable(len(variables)))
+                variables.append((slot.name, index))
+            if slot.kind == "scalar":
+                call_args[slot.name] = inputs[slot.name] = elements[0]
+                continue
+            call_args[slot.name] = elements
+            if not slot.is_output:
+                array = np.empty(slot.count, dtype=object)
+                array[:] = elements
+                inputs[slot.name] = array.reshape(slot.shape)
+        result = self._interpreter.run(self._function, call_args)
+        output: Union[Poly, Fraction, np.ndarray]
+        if plan.output_name is None:
+            output = result.return_value  # type: ignore[assignment]
+        else:
+            flat = np.empty(len(result.array(plan.output_name)), dtype=object)
+            flat[:] = result.array(plan.output_name)
+            output = flat.reshape(plan.output_shape) if plan.output_shape else flat[0]
+        return SymbolicRun(plan, inputs, output, variables)
 
     def run_lanes(self, batch: LaneBatch) -> np.ndarray:
         """Run the kernel once over every lane of *batch*.

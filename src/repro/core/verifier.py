@@ -1,11 +1,35 @@
-"""Bounded equivalence verification (Section 7).
+"""Equivalence verification (Section 7): proof first, bounded lanes as fallback.
 
 The paper lowers both the original C program and the lifted TACO program to a
 common representation and hands them to CBMC (extended with rational
 datatypes) to prove input/output equivalence for all inputs up to a bound.
-This reproduction performs the explicit-state analogue of that check:
+This reproduction does the same in two ways.
 
-* sizes are fixed to a small bound,
+Proof
+-----
+
+With sizes fixed, a kernel without division by an input is a loop nest whose
+control flow does not depend on input values, so the C kernel and a TACO
+program each compute, per output element, a polynomial in the input
+elements — and they agree on every rational input exactly when those
+polynomials are equal.  :meth:`BoundedEquivalenceChecker.verify` first runs
+both sides once on polynomial variables (:mod:`repro.core.poly`) at every
+uniform size from 1 to ``size_bound + 1``, one variable per free input
+element and per initial output-buffer element.  Equal polynomials at every
+size are a proof (``proved=True``) and draw no random inputs.  A size at
+which the C kernel traps is outside the claim and skipped, except at
+``size_bound`` itself.
+
+Bounded lanes (fallback)
+------------------------
+
+When a side needs the value of an input — division by one, a
+value-dependent branch or subscript, a math call on one (the run raises
+:class:`~repro.core.poly.NotPolynomial`) — or the C kernel traps at
+``size_bound``, :meth:`~BoundedEquivalenceChecker.check_lanes` runs the
+explicit-state analogue of CBMC's check:
+
+* sizes are fixed to ``size_bound``,
 * input values range over a small set of exact rationals,
 * the space of inputs is enumerated **exhaustively** when it is smaller than
   a configurable cap, and sampled deterministically (after the structured
@@ -13,8 +37,11 @@ This reproduction performs the explicit-state analogue of that check:
 * both sides are executed in exact rational arithmetic and compared for
   equality.
 
-The guarantee is the same *bounded* guarantee CBMC provides, obtained by
-enumeration instead of SAT/SMT solving.
+When the polynomials differ, the lanes also run, to find a concrete
+counterexample; if they find none (the difference vanishes on every lane),
+the difference polynomial is evaluated at seeded integer points until one is
+non-zero, and the C kernel's run at that point is the counterexample.  The
+verdict is "not equivalent" either way.
 
 Lanes
 -----
@@ -37,8 +64,9 @@ guarantee.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
-from typing import Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -49,7 +77,8 @@ from ..cfront.interpreter import LaneDivergence
 from ..taco import TacoProgram
 from ..taco.errors import TacoError
 from ..taco.evaluator import TacoEvaluator
-from .io_examples import IOExample, IOExampleGenerator, Lane
+from .io_examples import IOExample, IOExampleGenerator, Lane, SymbolicRun
+from .poly import NotPolynomial, Poly, is_zero, witness
 from .task import LiftingTask
 from .validator import _outputs_equal
 
@@ -58,12 +87,17 @@ from .validator import _outputs_equal
 #: chunk repeats lane by lane.
 LANE_CHUNK = 256
 
+#: Seed of the integer points a refuting difference polynomial is evaluated
+#: at when the lanes find no counterexample.
+WITNESS_SEED = 1729
+
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    """Bounds for the bounded equivalence check."""
+    """Bounds for the equivalence check."""
 
-    #: Value each size parameter is fixed to during verification.
+    #: Value each size parameter is fixed to by the lane check; the proof
+    #: covers every uniform size from 1 to ``size_bound + 1``.
     size_bound: int = 2
     #: The exact values input elements range over during exhaustive checks.
     value_set: Tuple[int, ...] = (-2, -1, 0, 1, 2)
@@ -78,15 +112,32 @@ class VerifierConfig:
 
 @dataclass
 class VerificationResult:
-    """Outcome of the bounded equivalence check."""
+    """Outcome of the equivalence check."""
 
     equivalent: bool
+    #: Inputs the lanes checked, plus one for a polynomial witness; for a
+    #: proof, the number of sizes proved.
     checks_run: int
     counterexample: Optional[IOExample] = None
     exhaustive: bool = False
+    #: Equal polynomials: equivalent on every rational input at these sizes.
+    proved: bool = False
+    #: The uniform sizes the proof covers (empty unless ``proved``).
+    proved_sizes: Tuple[int, ...] = ()
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.equivalent
+
+
+@dataclass
+class _Refutation:
+    """Unequal polynomials at one size."""
+
+    run: SymbolicRun
+    #: The first non-zero output difference (a Poly or a non-zero constant);
+    #: None when the TACO side fails or has the wrong shape, so that every
+    #: input refutes.
+    difference: object
 
 
 class BoundedEquivalenceChecker:
@@ -109,12 +160,44 @@ class BoundedEquivalenceChecker:
         self._generator = IOExampleGenerator(
             task, self._function, self._signature, seed=1729
         )
+        #: Symbolic C runs by uniform size (None: the kernel traps there).
+        self._runs: Dict[int, Optional[SymbolicRun]] = {}
+        #: False once the C kernel is found to need an input's value.
+        self._polynomial = True
 
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
     def verify(self, program: TacoProgram) -> VerificationResult:
-        """Bounded-verify that *program* is equivalent to the C kernel."""
+        """Verify that *program* is equivalent to the C kernel.
+
+        Proves it by polynomial identity where both sides allow it, and
+        otherwise falls back to :meth:`check_lanes`.
+        """
+        proof = None
+        if self._polynomial:
+            try:
+                proof = self._prove(program)
+            except NotPolynomial:
+                pass
+        if proof is None:
+            return self.check_lanes(program)
+        if not isinstance(proof, _Refutation):
+            return VerificationResult(
+                equivalent=True, checks_run=len(proof), proved=True, proved_sizes=proof
+            )
+        lanes = self.check_lanes(program)
+        if not lanes.equivalent:
+            return lanes
+        return VerificationResult(
+            equivalent=False,
+            checks_run=lanes.checks_run + 1,
+            counterexample=self._witness_example(proof),
+            exhaustive=lanes.exhaustive,
+        )
+
+    def check_lanes(self, program: TacoProgram) -> VerificationResult:
+        """Bounded-check *program* on sampled or enumerated input lanes."""
         config = self._config
         sizes = {name: config.size_bound for name in self._task.spec.sizes}
         plan = self._generator.plan(sizes)
@@ -139,6 +222,69 @@ class BoundedEquivalenceChecker:
                     counterexample=counterexample,
                     exhaustive=exhaustive,
                 )
+
+    # ------------------------------------------------------------------ #
+    # Proof by polynomial identity
+    # ------------------------------------------------------------------ #
+    def _prove(self, program: TacoProgram) -> Union[None, Tuple[int, ...], _Refutation]:
+        """The sizes proved, the first refuting size, or None.
+
+        None means no proof is possible: the C kernel traps at
+        ``size_bound``.  Raises :class:`NotPolynomial` when either side
+        needs an input's value.
+        """
+        bound = self._config.size_bound
+        proved = []
+        for size in range(1, bound + 2):
+            run = self._symbolic_run(size)
+            if run is None:
+                if size == bound:
+                    return None
+                continue
+            try:
+                actual = self._evaluator.evaluate(
+                    program,
+                    {access.name: run.inputs[access.name] for access in program.rhs.tensors()},
+                    output_shape=run.plan.output_shape,
+                )
+            except (TacoError, KeyError, ZeroDivisionError):
+                return _Refutation(run, None)
+            expected = np.asarray(run.output, dtype=object)
+            actual = np.asarray(actual, dtype=object)
+            if actual.shape != expected.shape:
+                return _Refutation(run, None)
+            for want, got in zip(expected.reshape(-1), actual.reshape(-1)):
+                difference = want - got
+                if not is_zero(difference):
+                    return _Refutation(run, difference)
+            proved.append(size)
+        return tuple(proved)
+
+    def _symbolic_run(self, size: int) -> Optional[SymbolicRun]:
+        if size not in self._runs:
+            sizes = {name: size for name in self._task.spec.sizes}
+            try:
+                self._runs[size] = self._generator.run_symbolic(sizes)
+            except CRuntimeError:
+                self._runs[size] = None
+            except NotPolynomial:
+                self._polynomial = False
+                raise
+        return self._runs[size]
+
+    def _witness_example(self, refutation: _Refutation) -> IOExample:
+        """The C kernel's run at an integer point that refutes.
+
+        Unless the difference is a non-constant polynomial, any point does.
+        """
+        run = refutation.run
+        rng = random.Random(WITNESS_SEED)
+        point = {ident: rng.randint(-2, 2) for ident in range(len(run.variables))}
+        if isinstance(refutation.difference, Poly):
+            point.update(witness(refutation.difference, rng))
+        return self._generator.generate_one(
+            sizes=run.plan.sizes, values=run.values(point)
+        )
 
     # ------------------------------------------------------------------ #
     # Input enumeration
@@ -174,14 +320,30 @@ class BoundedEquivalenceChecker:
     ) -> Tuple[Optional[IOExample], int]:
         """Check one chunk of lanes: (first counterexample or None, checks run).
 
-        The lanes run batched; the generator's RNG ends where checking the
-        lanes one at a time, up to the counterexample, would leave it.
+        The lanes run batched, without those that divide by zero; the
+        generator's RNG ends where checking the lanes one at a time, up to
+        the counterexample, would leave it.
         """
         generator = self._generator
         state = generator.getstate()
         batch = generator.draw_lanes(sizes, chunk)
+        #: Chunk indices of the lanes that do not trap.
+        live = np.arange(batch.lanes)
         try:
-            expected = generator.run_lanes(batch)
+            while True:
+                try:
+                    expected = generator.run_lanes(batch)
+                    break
+                except LaneDivergence as divergence:
+                    if divergence.trapped is None:
+                        raise
+                    kept = ~divergence.trapped
+                # Lanes that divide by zero trap and are skipped, as one at a
+                # time; the rest rerun in lockstep.
+                live = live[kept]
+                if not len(live):
+                    return None, 0
+                batch = batch.subset(np.flatnonzero(kept))
             actual = self._evaluator.evaluate_lanes(
                 program,
                 {access.name: batch.inputs[access.name] for access in program.rhs.tensors()},
@@ -197,11 +359,11 @@ class BoundedEquivalenceChecker:
             agree = (actual == expected).all(axis=tuple(range(1, expected.ndim)))
         if agree.all():
             return None, batch.lanes
-        lane = int(np.argmin(agree))
-        # Leave the RNG where a lane-by-lane check stops: after lane `lane`.
+        first = int(np.argmin(agree))
+        # Leave the RNG where a lane-by-lane check stops: after the lane.
         generator.setstate(state)
-        generator.draw_lanes(sizes, chunk[: lane + 1])
-        return batch.example(lane, expected), lane + 1
+        generator.draw_lanes(sizes, chunk[: live[first] + 1])
+        return batch.example(first, expected), first + 1
 
     def _check_lanes_one_by_one(
         self, program: TacoProgram, sizes: Mapping[str, int], chunk: List[Lane]

@@ -113,9 +113,12 @@ def check_candidate(
         return False, validation, None
     verification = verifier.verify(validation.concrete_program)
     if verification.equivalent:
-        safe_notify(observer, LiftEvent(
-            "candidate_accepted", attrs={"program": str(validation.concrete_program)}
-        ))
+        safe_notify(observer, LiftEvent("candidate_accepted", attrs={
+            "program": str(validation.concrete_program),
+            "proved": verification.proved,
+            "sizes": ",".join(map(str, verification.proved_sizes)),
+            "checks": verification.checks_run,
+        }))
     return bool(verification.equivalent), validation, verification
 
 

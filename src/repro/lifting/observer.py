@@ -104,7 +104,15 @@ def _print_line(event: LiftEvent) -> Optional[str]:
             f"{attrs['candidates_tried']} candidates tried{rate_text}"
         )
     if name == "candidate_accepted":
-        return f"  accepted: {attrs['program']}"
+        if attrs["proved"]:
+            sizes = [int(size) for size in attrs["sizes"].split(",")]
+            contiguous = len(sizes) > 1 and sizes == list(range(sizes[0], sizes[-1] + 1))
+            how = f"proved, sizes {sizes[0]}–{sizes[-1]}" if contiguous else (
+                f"proved, sizes {attrs['sizes']}"
+            )
+        else:
+            how = f"bounded check, {attrs['checks']} inputs"
+        return f"  accepted: {attrs['program']} ({how})"
     if name == "retrieval_seeded":
         verdict = "tier-0 hit (search skipped)" if attrs["hit"] else "no tier-0 hit"
         return f"[{who}] seeded from {attrs['neighbors']} neighbor(s): {verdict}"

@@ -30,9 +30,12 @@ from ..core.task import LiftingTask
 # its tests historically import them from this module.
 from ..lifting.descriptor import describe_lifter, describe_oracle  # noqa: F401
 
-#: Bump when the entry layout or the digest inputs change incompatibly;
-#: stored under a versioned directory so old caches are ignored, not misread.
-STORE_SCHEMA_VERSION = 1
+#: Bump when the entry layout or the digest inputs change incompatibly, or
+#: when a stored verdict would mean something else today (2: the verifier
+#: proves equivalence by polynomial identity, so a verdict of the sampled
+#: check must not replay); stored under a versioned directory so old caches
+#: are ignored, not misread.
+STORE_SCHEMA_VERSION = 2
 
 
 def canonical_json(value: object) -> str:

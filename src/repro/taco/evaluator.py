@@ -15,6 +15,9 @@ both, in two arithmetic modes:
 * ``mode="float"`` — NumPy float64, used for quick I/O validation,
 * ``mode="exact"`` — object arrays of :class:`fractions.Fraction`, mirroring
   the rational-datatype extension of CBMC used by the paper's verifier.
+  Elements may also be :class:`~repro.core.poly.Poly` polynomials in input
+  variables; division by a non-constant one raises
+  :class:`~repro.core.poly.NotPolynomial`.
 
 Hot-path architecture
 ---------------------
@@ -43,6 +46,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.poly import Poly
 from .ast import (
     BinaryOp,
     BinOp,
@@ -73,7 +77,7 @@ def _as_array(value: TensorValue, mode: str) -> np.ndarray:
         flat = arr.reshape(-1)
         converted = np.empty(flat.shape, dtype=object)
         for idx, item in enumerate(flat):
-            converted[idx] = item if isinstance(item, Fraction) else Fraction(item)
+            converted[idx] = item if isinstance(item, (Fraction, Poly)) else Fraction(item)
         return converted.reshape(arr.shape)
     if mode == "int":
         return np.asarray(value, dtype=np.int64)
@@ -98,7 +102,7 @@ def _full_dtype(mode: str):
 
 def _coerce_scalar_mode(value, mode: str):
     if mode == "exact":
-        return value if isinstance(value, Fraction) else Fraction(value)
+        return value if isinstance(value, (Fraction, Poly)) else Fraction(value)
     if mode == "int":
         return np.int64(value)
     return float(value)

@@ -175,6 +175,13 @@ class TestColdPathGuard:
         with pytest.raises(BenchColdPathError):
             check_cold_path(tmp_path / "BENCH_t.json")
 
+    def test_refuses_current_schema_store_directory(self, tmp_path):
+        from repro.service import STORE_SCHEMA_VERSION
+
+        (tmp_path / f"v{STORE_SCHEMA_VERSION}" / "objects").mkdir(parents=True)
+        with pytest.raises(BenchColdPathError):
+            check_cold_path(tmp_path / "BENCH_t.json")
+
     def test_refuses_inside_store_tree(self, tmp_path):
         (tmp_path / "v1" / "objects").mkdir(parents=True)
         with pytest.raises(BenchColdPathError):

@@ -132,6 +132,13 @@ class TestInterpreter:
         result = run_function(fn, {"a": 1, "b": 3, "out": [0]}, mode="exact")
         assert result.array("out") == [Fraction(1, 3)]
 
+    def test_int_store_truncates_toward_zero_in_exact_and_float_mode(self):
+        fn = parse_function("void k(float *a, int *o) { int t = a[0] / 2; o[0] = t; }")
+        for value, want in ((-3, -1), (3, 1), (-5, -2), (-1, 0)):
+            exact = run_function(fn, {"a": [value], "o": [0]}, mode="exact").array("o")
+            floating = run_function(fn, {"a": [value], "o": [0]}, mode="float").array("o")
+            assert exact == floating == [want]
+
     def test_out_of_bounds_read_raises(self):
         fn = parse_function("void f(int n, int *a, int *out) { *out = a[n]; }")
         with pytest.raises(CRuntimeError):

@@ -72,6 +72,17 @@ class TestObserverEvents:
         assert report.success
         accepted = [e for e in observer.events if e.name == "candidate_accepted"]
         assert accepted and accepted[-1].attrs["program"] == str(report.lifted_program)
+        assert accepted[-1].attrs["proved"] is True
+        assert accepted[-1].attrs["sizes"] == "1,2,3"
+
+    def test_accepted_event_reports_the_bounded_check_fallback(self):
+        observer = RecordingObserver()
+        report = _synthesizer().lift(_task("dsp.normalize"), observer=observer)
+        assert report.success
+        accepted = [e for e in observer.events if e.name == "candidate_accepted"]
+        assert accepted[-1].attrs["proved"] is False
+        assert accepted[-1].attrs["sizes"] == ""
+        assert accepted[-1].attrs["checks"] > 0
 
     def test_broken_observer_never_breaks_the_lift(self):
         class Broken(RecordingObserver):
@@ -157,7 +168,12 @@ class TestPrintObserver:
                 "nodes_expanded": 512, "candidates_tried": 0,
                 "nodes_per_sec": 0.0, "duplicates_pruned": 0,
             }),
-            LiftEvent("candidate_accepted", attrs={"program": "a(i) = b(i)"}),
+            LiftEvent("candidate_accepted", attrs={
+                "program": "a(i) = b(i)", "proved": True, "sizes": "1,2,3", "checks": 3,
+            }),
+            LiftEvent("candidate_accepted", attrs={
+                "program": "a(i) = b(i) / c", "proved": False, "sizes": "", "checks": 68,
+            }),
             LiftEvent("retrieval_seeded", "k", attrs={"neighbors": 2, "hit": True}),
             LiftEvent("validator_stats", attrs={
                 "candidates": 10, "screen_rejects": 4, "exact_checks": 6, "seconds": 0.5,
@@ -178,7 +194,8 @@ class TestPrintObserver:
             "[k[TD]] stage oracle skipped (resumed from state)",
             "  search: 1024 nodes expanded, 3 candidates tried, 2048 nodes/s",
             "  search: 512 nodes expanded, 0 candidates tried",
-            "  accepted: a(i) = b(i)",
+            "  accepted: a(i) = b(i) (proved, sizes 1–3)",
+            "  accepted: a(i) = b(i) / c (bounded check, 68 inputs)",
             "[k] seeded from 2 neighbor(s): tier-0 hit (search skipped)",
             "  validator: 10 candidates (20/s), 4 screened out, 6 exact checks",
             "  validator: 10 candidates, 4 screened out, 6 exact checks",

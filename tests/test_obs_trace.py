@@ -85,6 +85,17 @@ class TestTracedLift:
         assert attrs["candidates_per_sec"] >= 0
         assert attrs["exact_checks"] >= 1
 
+    def test_search_span_carries_the_verification_kind(self, tmp_path):
+        path, report = _traced_lift(tmp_path)
+        trace = build_forest(load_trace(path))[0]
+        search = find_span(trace, "stage:search")
+        accepted = [e for e in search.events if e.name == "candidate_accepted"]
+        assert accepted
+        attrs = accepted[-1].attrs
+        assert attrs["program"] == str(report.lifted_program)
+        assert attrs["proved"] is True
+        assert attrs["sizes"] == "1,2,3"
+
     def test_close_is_idempotent(self, tmp_path):
         path, _ = _traced_lift(tmp_path)
         before = path.read_text()

@@ -1,4 +1,4 @@
-"""Verifier parity: bounded verification repeats a recorded trajectory exactly.
+"""Verifier parity: the bounded lane check repeats a recorded trajectory exactly.
 
 The fixture ``verifier_parity.json`` lists, per corpus kernel, every concrete
 program that :meth:`BoundedEquivalenceChecker.verify` receives during a
@@ -6,12 +6,15 @@ STAGG_TD and a STAGG_BU lift of that kernel (first-seen order, duplicates
 dropped), followed by one mutant of each (the first ``*`` turned into ``+``,
 else the first ``+`` into ``-``).  For both verifier bounds — the
 evaluation's 729/24 and ``VerifierConfig()``'s 4096/64 — one checker per
-kernel verifies every listed program twice, in order, and the fixture pins
-each call's ``equivalent``, ``checks_run`` and ``exhaustive``, a SHA-256 of
-the counterexample's inputs and output, and a SHA-256 of the example
-generator's RNG state after the call.  The RNG hash makes the order in which
-sampled inputs are drawn part of the contract: a later ``verify`` on the same
-checker must see the same samples.
+kernel lane-checks (:meth:`~BoundedEquivalenceChecker.check_lanes`) every
+listed program twice, in order, and the fixture pins each call's
+``equivalent``, ``checks_run`` and ``exhaustive``, a SHA-256 of the
+counterexample's inputs and output, and a SHA-256 of the example generator's
+RNG state after the call.  The RNG hash makes the order in which sampled
+inputs are drawn part of the contract: a later check on the same checker
+must see the same samples.  ``verify`` itself, which proves equivalence by
+polynomial identity where it can, must reach the recorded verdict on every
+call.
 
 To re-record the fixture after an intended change of behaviour::
 
@@ -93,7 +96,10 @@ def _counterexample_hash(example):
 
 
 def _verify_all(programs, bound):
-    """``{kernel: [[program, call, call], ...]}`` for *programs* at *bound*."""
+    """``{kernel: [[program, call, call], ...]}`` for *programs* at *bound*.
+
+    Each call is a :meth:`check_lanes`, the lane path the fixture pins.
+    """
     from repro.core.verifier import BoundedEquivalenceChecker, VerifierConfig
     from repro.suite import get_benchmark
     from repro.taco import parse_program
@@ -108,7 +114,7 @@ def _verify_all(programs, bound):
             program = parse_program(source)
             row = [source]
             for _ in range(2):
-                result = checker.verify(program)
+                result = checker.check_lanes(program)
                 row.append([
                     result.equivalent,
                     result.checks_run,
@@ -148,6 +154,25 @@ def test_verify_matches_recorded_outcomes(expected, bound):
         for want, got in zip(rows, actual[kernel])
         if want != got
     }
+    assert not mismatches
+
+
+@pytest.mark.parametrize("bound", sorted(BOUNDS))
+def test_verify_reaches_recorded_verdicts(expected, bound):
+    from repro.core.verifier import BoundedEquivalenceChecker, VerifierConfig
+    from repro.suite import get_benchmark
+    from repro.taco import parse_program
+
+    mismatches = []
+    for kernel, rows in expected[bound].items():
+        checker = BoundedEquivalenceChecker(
+            get_benchmark(kernel).task(), config=VerifierConfig(**BOUNDS[bound])
+        )
+        for row in rows:
+            program = parse_program(row[0])
+            for call in row[1:]:
+                if checker.verify(program).equivalent != call[0]:
+                    mismatches.append((kernel, row[0]))
     assert not mismatches
 
 
