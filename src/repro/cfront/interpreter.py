@@ -32,10 +32,8 @@ lane arrays.
 Some code cannot run in lockstep: a condition or a subscript whose lanes
 disagree, or a lane that traps (a :class:`CRuntimeError` such as division by
 zero).  Such a run raises :class:`LaneDivergence`; the caller then runs the
-lanes one at a time — or, when the divergence names the lanes that divide by
-zero (:attr:`LaneDivergence.trapped`), reruns the other lanes in lockstep.
-Pass lane values for scalar parameters as lane arrays and for pointer
-parameters as a list with one lane array per element.
+lanes one at a time.  Pass lane values for scalar parameters as lane arrays
+and for pointer parameters as a list with one lane array per element.
 
 Polynomial values
 -----------------
@@ -98,6 +96,9 @@ DEFAULT_STEP_LIMIT = 20_000_000
 
 Number = Union[int, float, Fraction, Poly]
 
+#: The type every store into an ``int`` variable or array converts to.
+_INT = CType("int", 0)
+
 #: The C comparison operators and the Python predicates they map to.
 _COMPARISONS = {
     "==": operator.eq,
@@ -113,16 +114,8 @@ class LaneDivergence(Exception):
     """A lane-valued run cannot continue in lockstep.
 
     Raised when a condition or a subscript differs between lanes, or when any
-    lane traps.  The lanes must then be run one at a time, unless
-    :attr:`trapped` is set.
+    lane traps.  The lanes must then be run one at a time.
     """
-
-    def __init__(self, message: str, trapped: Optional[np.ndarray] = None) -> None:
-        super().__init__(message)
-        #: When some lanes divide by zero (and so trap run alone): their
-        #: boolean mask.  Up to that division every lane ran exactly as it
-        #: would alone, so the other lanes can be rerun without them.
-        self.trapped = trapped
 
 
 def _is_lanes(value) -> bool:
@@ -137,11 +130,15 @@ def _lanewise(helper, *args) -> np.ndarray:
 class Buffer:
     """A flat, mutable memory buffer backing a C array."""
 
-    __slots__ = ("data", "name")
+    __slots__ = ("data", "name", "is_int")
 
-    def __init__(self, data: List[Number], name: str = "<anonymous>") -> None:
+    def __init__(
+        self, data: List[Number], name: str = "<anonymous>", is_int: bool = False
+    ) -> None:
         self.data = data
         self.name = name
+        #: Whether the elements are ``int``: a store converts the value.
+        self.is_int = is_int
 
     def __len__(self) -> int:
         return len(self.data)
@@ -230,6 +227,8 @@ class CInterpreter:
         self._steps = 0
         #: Whether the current run has lane-valued arguments.
         self._lanes = False
+        #: Names of the current run's ``int`` scalars (parameters and locals).
+        self._int_names: set = set()
 
     @property
     def mode(self) -> str:
@@ -251,6 +250,7 @@ class CInterpreter:
         """
         self._steps = 0
         self._lanes = False
+        self._int_names = set()
         env: Dict[str, Value] = {}
         buffers: Dict[str, Buffer] = {}
         for param in function.parameters:
@@ -258,10 +258,15 @@ class CInterpreter:
                 raise CTypeError(f"missing argument for parameter {param.name!r}")
             raw = arguments[param.name]
             if param.type.is_pointer:
-                buffer = Buffer(self._coerce_array(raw, param.type), name=param.name)
+                buffer = Buffer(
+                    self._coerce_array(raw, param.type),
+                    name=param.name,
+                    is_int=param.type.base == "int",
+                )
                 buffers[param.name] = buffer
                 env[param.name] = Pointer(buffer, 0)
             else:
+                self._declare(param.name, param.type)
                 env[param.name] = self._coerce_scalar(raw, param.type)
         return_value: Optional[Value] = None
         try:
@@ -394,9 +399,13 @@ class CInterpreter:
                             f"local array {decl.name!r} needs an explicit size"
                         )
                     total *= self._offset(self._eval(size_expr, env))
-                buffer = Buffer([self._zero(ctype)] * total, name=decl.name)
+                buffer = Buffer(
+                    [self._zero(ctype)] * total, name=decl.name, is_int=ctype.base == "int"
+                )
                 env[decl.name] = Pointer(buffer, 0)
-            elif decl.init is not None:
+                continue
+            self._declare(decl.name, ctype)
+            if decl.init is not None:
                 env[decl.name] = self._store_coerce(self._eval(decl.init, env), ctype)
             else:
                 env[decl.name] = (
@@ -404,6 +413,12 @@ class CInterpreter:
                     if ctype.is_pointer
                     else self._zero(ctype)
                 )
+
+    def _declare(self, name: str, ctype: CType) -> None:
+        if ctype.base == "int" and not ctype.is_pointer:
+            self._int_names.add(name)
+        else:
+            self._int_names.discard(name)
 
     def _zero(self, ctype: CType) -> Number:
         if self._mode == "exact" and ctype.is_floating:
@@ -536,12 +551,10 @@ class CInterpreter:
             return left * right
         if op in _COMPARISONS:
             helper = functools.partial(self._compare, op)
-        elif op in ("/", "%"):
-            helper = self._divide if op == "/" else _modulo
-            if _is_lanes(right):
-                zero = right == 0
-                if zero.any():
-                    raise LaneDivergence("a lane divides by zero", trapped=zero)
+        elif op == "/":
+            helper = self._divide
+        elif op == "%":
+            helper = _modulo
         else:
             raise CRuntimeError(f"unsupported binary operator {op!r}")
         if _is_lanes(left) or _is_lanes(right):
@@ -642,13 +655,19 @@ class CInterpreter:
 
     def _store(self, location, value: Value) -> None:
         kind = location[0]
+        # A store into an int converts the value as C does: it truncates a
+        # fraction and raises NotPolynomial for a Poly.
         if kind == "var":
             _, name, env = location
+            if name in self._int_names and type(value) is not int:
+                value = self._store_coerce(value, _INT)
             env[name] = value
             return
         _, pointer, offset = location
         if isinstance(value, Pointer):
             raise CRuntimeError("cannot store a pointer into an array element")
+        if pointer.buffer.is_int and type(value) is not int:
+            value = self._store_coerce(value, _INT)
         pointer.buffer.write(pointer.offset + offset, value)
 
     def _store_coerce(self, value: Value, ctype: CType) -> Value:

@@ -133,19 +133,6 @@ class LaneBatch:
     #: for pointers, plain ints for sizes.
     call_args: Dict[str, object]
 
-    def subset(self, lanes: np.ndarray) -> "LaneBatch":
-        """The batch restricted to the lanes at indices *lanes*, in order."""
-        call_args: Dict[str, object] = {}
-        for name, value in self.call_args.items():
-            if isinstance(value, list):
-                call_args[name] = [column[lanes] for column in value]
-            elif isinstance(value, np.ndarray):
-                call_args[name] = value[lanes]
-            else:
-                call_args[name] = value
-        inputs = {name: value[lanes] for name, value in self.inputs.items()}
-        return LaneBatch(self.plan, len(lanes), inputs, call_args)
-
     def example(self, lane: int, outputs: np.ndarray) -> IOExample:
         """Lane *lane* as an :class:`IOExample`, given the batch's outputs."""
         inputs: Dict[str, Union[int, Fraction, np.ndarray]] = {}

@@ -37,11 +37,11 @@ explicit-state analogue of CBMC's check:
 * both sides are executed in exact rational arithmetic and compared for
   equality.
 
-When the polynomials differ, the lanes also run, to find a concrete
-counterexample; if they find none (the difference vanishes on every lane),
-the difference polynomial is evaluated at seeded integer points until one is
-non-zero, and the C kernel's run at that point is the counterexample.  The
-verdict is "not equivalent" either way.
+When the polynomials differ, the program is refuted without the lanes: the
+difference polynomial is evaluated at seeded integer points until one is
+non-zero (Schwartz–Zippel), and the C kernel's run at that point is the
+counterexample.  When the TACO side fails or has the wrong shape, or the
+difference is a non-zero constant, any point refutes.
 
 Lanes
 -----
@@ -88,7 +88,7 @@ from .validator import _outputs_equal
 LANE_CHUNK = 256
 
 #: Seed of the integer points a refuting difference polynomial is evaluated
-#: at when the lanes find no counterexample.
+#: at.
 WITNESS_SEED = 1729
 
 
@@ -115,8 +115,8 @@ class VerificationResult:
     """Outcome of the equivalence check."""
 
     equivalent: bool
-    #: Inputs the lanes checked, plus one for a polynomial witness; for a
-    #: proof, the number of sizes proved.
+    #: Inputs checked: the lanes run, one for a polynomial witness, none
+    #: for a proof.
     checks_run: int
     counterexample: Optional[IOExample] = None
     exhaustive: bool = False
@@ -171,8 +171,8 @@ class BoundedEquivalenceChecker:
     def verify(self, program: TacoProgram) -> VerificationResult:
         """Verify that *program* is equivalent to the C kernel.
 
-        Proves it by polynomial identity where both sides allow it, and
-        otherwise falls back to :meth:`check_lanes`.
+        Proves or refutes it by polynomial identity where both sides allow
+        it, and otherwise falls back to :meth:`check_lanes`.
         """
         proof = None
         if self._polynomial:
@@ -182,18 +182,12 @@ class BoundedEquivalenceChecker:
                 pass
         if proof is None:
             return self.check_lanes(program)
-        if not isinstance(proof, _Refutation):
+        if isinstance(proof, _Refutation):
             return VerificationResult(
-                equivalent=True, checks_run=len(proof), proved=True, proved_sizes=proof
+                equivalent=False, checks_run=1, counterexample=self._witness_example(proof)
             )
-        lanes = self.check_lanes(program)
-        if not lanes.equivalent:
-            return lanes
         return VerificationResult(
-            equivalent=False,
-            checks_run=lanes.checks_run + 1,
-            counterexample=self._witness_example(proof),
-            exhaustive=lanes.exhaustive,
+            equivalent=True, checks_run=0, proved=True, proved_sizes=proof
         )
 
     def check_lanes(self, program: TacoProgram) -> VerificationResult:
@@ -320,30 +314,14 @@ class BoundedEquivalenceChecker:
     ) -> Tuple[Optional[IOExample], int]:
         """Check one chunk of lanes: (first counterexample or None, checks run).
 
-        The lanes run batched, without those that divide by zero; the
-        generator's RNG ends where checking the lanes one at a time, up to
-        the counterexample, would leave it.
+        The lanes run batched; the generator's RNG ends where checking the
+        lanes one at a time, up to the counterexample, would leave it.
         """
         generator = self._generator
         state = generator.getstate()
         batch = generator.draw_lanes(sizes, chunk)
-        #: Chunk indices of the lanes that do not trap.
-        live = np.arange(batch.lanes)
         try:
-            while True:
-                try:
-                    expected = generator.run_lanes(batch)
-                    break
-                except LaneDivergence as divergence:
-                    if divergence.trapped is None:
-                        raise
-                    kept = ~divergence.trapped
-                # Lanes that divide by zero trap and are skipped, as one at a
-                # time; the rest rerun in lockstep.
-                live = live[kept]
-                if not len(live):
-                    return None, 0
-                batch = batch.subset(np.flatnonzero(kept))
+            expected = generator.run_lanes(batch)
             actual = self._evaluator.evaluate_lanes(
                 program,
                 {access.name: batch.inputs[access.name] for access in program.rhs.tensors()},
@@ -359,11 +337,11 @@ class BoundedEquivalenceChecker:
             agree = (actual == expected).all(axis=tuple(range(1, expected.ndim)))
         if agree.all():
             return None, batch.lanes
-        first = int(np.argmin(agree))
-        # Leave the RNG where a lane-by-lane check stops: after the lane.
+        lane = int(np.argmin(agree))
+        # Leave the RNG where a lane-by-lane check stops: after lane `lane`.
         generator.setstate(state)
-        generator.draw_lanes(sizes, chunk[: live[first] + 1])
-        return batch.example(first, expected), first + 1
+        generator.draw_lanes(sizes, chunk[: lane + 1])
+        return batch.example(lane, expected), lane + 1
 
     def _check_lanes_one_by_one(
         self, program: TacoProgram, sizes: Mapping[str, int], chunk: List[Lane]

@@ -116,7 +116,7 @@ def check_candidate(
         safe_notify(observer, LiftEvent("candidate_accepted", attrs={
             "program": str(validation.concrete_program),
             "proved": verification.proved,
-            "sizes": ",".join(map(str, verification.proved_sizes)),
+            "sizes": list(verification.proved_sizes),
             "checks": verification.checks_run,
         }))
     return bool(verification.equivalent), validation, verification

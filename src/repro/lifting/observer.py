@@ -105,10 +105,10 @@ def _print_line(event: LiftEvent) -> Optional[str]:
         )
     if name == "candidate_accepted":
         if attrs["proved"]:
-            sizes = [int(size) for size in attrs["sizes"].split(",")]
+            sizes = attrs["sizes"]
             contiguous = len(sizes) > 1 and sizes == list(range(sizes[0], sizes[-1] + 1))
-            how = f"proved, sizes {sizes[0]}–{sizes[-1]}" if contiguous else (
-                f"proved, sizes {attrs['sizes']}"
+            how = "proved, sizes " + (
+                f"{sizes[0]}–{sizes[-1]}" if contiguous else ", ".join(map(str, sizes))
             )
         else:
             how = f"bounded check, {attrs['checks']} inputs"

@@ -132,8 +132,15 @@ class TestInterpreter:
         result = run_function(fn, {"a": 1, "b": 3, "out": [0]}, mode="exact")
         assert result.array("out") == [Fraction(1, 3)]
 
-    def test_int_store_truncates_toward_zero_in_exact_and_float_mode(self):
-        fn = parse_function("void k(float *a, int *o) { int t = a[0] / 2; o[0] = t; }")
+    @pytest.mark.parametrize("source", [
+        "void k(float *a, int *o) { int t = a[0] / 2; o[0] = t; }",
+        "void k(float *a, float *o) { int t; t = a[0] / 2; o[0] = t; }",
+        "void k(float *a, float *o) { int t = 0; t += a[0] / 2; o[0] = t; }",
+        "void k(float *a, float *o) { int b[1]; b[0] = a[0] / 2; o[0] = b[0]; }",
+        "void k(float *a, int *o) { o[0] = a[0] / 2; }",
+    ], ids=["init", "assign", "compound", "local-array", "int-argument"])
+    def test_int_store_truncates_toward_zero_in_exact_and_float_mode(self, source):
+        fn = parse_function(source)
         for value, want in ((-3, -1), (3, 1), (-5, -2), (-1, 0)):
             exact = run_function(fn, {"a": [value], "o": [0]}, mode="exact").array("o")
             floating = run_function(fn, {"a": [value], "o": [0]}, mode="float").array("o")

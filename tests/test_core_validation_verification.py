@@ -176,56 +176,3 @@ class TestVerifier:
         result = verifier.check_lanes(parse_program("out(i) = x(i) / s"))
         assert result.equivalent
         assert result.checks_run > 0
-
-
-class TestTrappingLanes:
-    """Lanes that divide by zero are skipped, exactly as one at a time."""
-
-    TASK = LiftingTask(
-        name="test.div_scalar",
-        c_source=(
-            "void div(int n, float s, float *x, float *out) {"
-            " for (int i = 0; i < n; i++) out[i] = x[i] / s; }"
-        ),
-        spec=InputSpec(sizes={"n": 3}, arrays={"x": ("n",), "out": ("n",)}),
-    )
-
-    def _checker(self, one_at_a_time: bool) -> BoundedEquivalenceChecker:
-        # The value set puts zero divisors ahead of the first mismatch.
-        checker = BoundedEquivalenceChecker(
-            self.TASK, config=VerifierConfig(value_set=(0, 1, 2), exhaustive_cap=100)
-        )
-        fallbacks = []
-        reference = checker._check_lanes_one_by_one
-
-        def one_by_one(program, sizes, chunk):
-            fallbacks.append(len(chunk))
-            return reference(program, sizes, chunk)
-
-        checker._check_lanes_one_by_one = one_by_one
-        if one_at_a_time:
-            checker._check_chunk = one_by_one
-        checker.fallbacks = fallbacks
-        return checker
-
-    @pytest.mark.parametrize("source", [
-        "out(i) = x(i) / s",
-        "out(i) = (x(i) * x(i) * x(i)) / s",
-        "out(i) = (x(i) * x(i)) / s",
-        "out(i) = x(i) * s",
-    ])
-    def test_batched_run_matches_one_at_a_time(self, source):
-        program = parse_program(source)
-        batched, reference = self._checker(False), self._checker(True)
-        for _ in range(2):
-            got, want = batched.check_lanes(program), reference.check_lanes(program)
-            assert got.equivalent == want.equivalent
-            assert got.checks_run == want.checks_run
-            if want.counterexample is None:
-                assert got.counterexample is None
-            else:
-                assert got.counterexample.output.tolist() == want.counterexample.output.tolist()
-                for name, value in want.counterexample.inputs.items():
-                    assert np.array_equal(got.counterexample.inputs[name], value)
-            assert batched._generator.getstate() == reference._generator.getstate()
-        assert batched.fallbacks == []

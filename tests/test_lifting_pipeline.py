@@ -73,7 +73,8 @@ class TestObserverEvents:
         accepted = [e for e in observer.events if e.name == "candidate_accepted"]
         assert accepted and accepted[-1].attrs["program"] == str(report.lifted_program)
         assert accepted[-1].attrs["proved"] is True
-        assert accepted[-1].attrs["sizes"] == "1,2,3"
+        assert accepted[-1].attrs["sizes"] == [1, 2, 3]
+        assert accepted[-1].attrs["checks"] == 0
 
     def test_accepted_event_reports_the_bounded_check_fallback(self):
         observer = RecordingObserver()
@@ -81,7 +82,7 @@ class TestObserverEvents:
         assert report.success
         accepted = [e for e in observer.events if e.name == "candidate_accepted"]
         assert accepted[-1].attrs["proved"] is False
-        assert accepted[-1].attrs["sizes"] == ""
+        assert accepted[-1].attrs["sizes"] == []
         assert accepted[-1].attrs["checks"] > 0
 
     def test_broken_observer_never_breaks_the_lift(self):
@@ -169,10 +170,13 @@ class TestPrintObserver:
                 "nodes_per_sec": 0.0, "duplicates_pruned": 0,
             }),
             LiftEvent("candidate_accepted", attrs={
-                "program": "a(i) = b(i)", "proved": True, "sizes": "1,2,3", "checks": 3,
+                "program": "a(i) = b(i)", "proved": True, "sizes": [1, 2, 3], "checks": 0,
             }),
             LiftEvent("candidate_accepted", attrs={
-                "program": "a(i) = b(i) / c", "proved": False, "sizes": "", "checks": 68,
+                "program": "a(i) = b(i) / c", "proved": False, "sizes": [], "checks": 68,
+            }),
+            LiftEvent("candidate_accepted", attrs={
+                "program": "a(i) = b(i)", "proved": True, "sizes": [2, 4], "checks": 0,
             }),
             LiftEvent("retrieval_seeded", "k", attrs={"neighbors": 2, "hit": True}),
             LiftEvent("validator_stats", attrs={
@@ -196,6 +200,7 @@ class TestPrintObserver:
             "  search: 512 nodes expanded, 0 candidates tried",
             "  accepted: a(i) = b(i) (proved, sizes 1–3)",
             "  accepted: a(i) = b(i) / c (bounded check, 68 inputs)",
+            "  accepted: a(i) = b(i) (proved, sizes 2, 4)",
             "[k] seeded from 2 neighbor(s): tier-0 hit (search skipped)",
             "  validator: 10 candidates (20/s), 4 screened out, 6 exact checks",
             "  validator: 10 candidates, 4 screened out, 6 exact checks",

@@ -94,7 +94,7 @@ class TestTracedLift:
         attrs = accepted[-1].attrs
         assert attrs["program"] == str(report.lifted_program)
         assert attrs["proved"] is True
-        assert attrs["sizes"] == "1,2,3"
+        assert attrs["sizes"] == "[1, 2, 3]"  # a list attr is recorded as its text
 
     def test_close_is_idempotent(self, tmp_path):
         path, _ = _traced_lift(tmp_path)

@@ -81,9 +81,14 @@ class TestNotPolynomialTriggers:
         "void f(float *a, float *o) { o[0] = expf(a[1]); }",
         "void f(float *a, float *o) { o[0] = fabsf(a[0]); }",
         "void f(float *a, float *o) { int t = a[0]; o[0] = t; }",
+        "void f(float *a, float *o) { int t; t = a[0]; o[0] = t; }",
+        "void f(float *a, float *o) { int acc = 0; acc += a[0]; o[0] = acc; }",
+        "void f(float *a, float *o) { int b[2]; b[0] = a[0]; o[0] = b[0]; }",
+        "void f(float *a, int *o) { o[0] = a[0]; }",
     ], ids=[
         "division", "if", "ternary", "int-cast-subscript", "subscript",
-        "sqrtf", "expf", "fabsf", "int-store",
+        "sqrtf", "expf", "fabsf", "int-init", "int-assign", "int-compound",
+        "int-local-array", "int-argument",
     ])
     def test_value_dependent_operations_raise(self, source):
         with pytest.raises(NotPolynomial):
@@ -124,7 +129,17 @@ class TestVerify:
         result = checker.verify(parse_program("out(i) = x(i) * x(i) - x(i)"))
         assert result.equivalent and result.proved
         assert result.proved_sizes == (1, 2, 3)
+        assert result.checks_run == 0
         assert checker._generator.getstate() == state  # no inputs drawn
+
+    def test_int_truncation_is_not_proved(self):
+        # C truncates x[i] into t, so out(i) = x(i) holds only on integers.
+        task = _task(
+            "void f(int n, float *x, float *out) {"
+            " for (int i = 0; i < n; i++) { int t; t = x[i]; out[i] = t; } }"
+        )
+        result = BoundedEquivalenceChecker(task).verify(parse_program("out(i) = x(i)"))
+        assert not result.proved
 
     def test_division_by_an_input_falls_back_to_lanes(self):
         task = _task(
