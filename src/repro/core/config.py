@@ -18,7 +18,7 @@ plus the penalty-dropping variants of Table 2 (``Drop(A)``, ``Drop(a1)``,
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from .jsonutil import jsonable
@@ -183,7 +183,7 @@ class StaggConfig:
         accepted answer passed the same validate-then-verify criterion —
         so arming or re-tuning it must never retire store digests either.
         """
-        digest = {str(k): jsonable(v) for k, v in asdict(self).items()}
+        digest = jsonable(self)
         limits = digest.get("limits")
         if isinstance(limits, dict):
             limits.pop("progress_interval", None)

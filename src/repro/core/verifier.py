@@ -58,7 +58,8 @@ is redrawn and checked one input at a time, skipping trapping inputs as
 before.  Either way the verdict, ``checks_run``, the counterexample and the
 example generator's random state are exactly those of checking the inputs
 one at a time, so batching changes the cost of the bounded check, not its
-guarantee.
+guarantee.  When the C kernel traps on every input, no input is checked and
+the verdict is *not equivalent*, with ``checks_run=0``.
 """
 
 from __future__ import annotations
@@ -204,8 +205,10 @@ class BoundedEquivalenceChecker:
         while True:
             chunk = list(itertools.islice(lanes, LANE_CHUNK))
             if not chunk:
+                # No input ran (the C kernel trapped on every one): a check
+                # of nothing is no evidence of equivalence.
                 return VerificationResult(
-                    equivalent=True, checks_run=checks, exhaustive=exhaustive
+                    equivalent=checks > 0, checks_run=checks, exhaustive=exhaustive
                 )
             counterexample, checked = self._check_chunk(program, sizes, chunk)
             checks += checked

@@ -49,7 +49,7 @@ from ..core.search_bottomup import BottomUpSearch
 from ..core.search_topdown import TopDownSearch
 from ..core.task import LiftingTask
 from ..core.templates import Template, templatize_all
-from ..cfront.analysis import analyze_signature
+from ..cfront.analysis import analyze_signature, predict_output_rank
 from ..llm.oracle import LiftingQuery, LLMOracle, OracleResponse
 from .budget import Budget
 from .checking import build_check, build_harness
@@ -253,7 +253,10 @@ class DimensionStage(Stage):
 
     def run(self, pipeline, state, budget, observer) -> None:
         state.ensure_analysis()
-        prediction = predict_dimension_list(state.templates, state.function)
+        prediction = predict_dimension_list(
+            state.templates,
+            static_lhs_rank=predict_output_rank(state.function, state.signature),
+        )
         state.dimension_list = prediction.dimension_list
         state.voted_dimension_list = prediction.voted_list
         state.static_lhs_rank = prediction.static_lhs_rank

@@ -67,8 +67,10 @@ def lift_digest(
     payload = {
         "schema": STORE_SCHEMA_VERSION,
         "task": describe_task(task),
-        "lifter": jsonable(dict(lifter_descriptor)),
-        "extra": jsonable(dict(extra)) if extra else None,
+        "lifter": lifter_descriptor,
+        "extra": extra or None,
     }
+    # ``canonical_json`` renders the whole payload in its one ``jsonable``
+    # pass; the parts are handed over as they are.
     encoded = canonical_json(payload).encode("utf-8")
     return hashlib.sha256(encoded).hexdigest()

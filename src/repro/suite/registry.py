@@ -5,11 +5,18 @@ The evaluation of the paper uses:
 * the **real-world set** — 67 kernels (61 from the literature corpora plus 6
   from llama2.cpp), and
 * the **full set** — the real-world set plus 10 artificial kernels (77 total).
+
+The corpus is built once, on first use, and shared by every caller in the
+process: each lookup returns the same :class:`Benchmark` objects.  They are
+frozen, and their :class:`~repro.core.task.InputSpec` mappings must be
+treated as read-only too — derive a changed task (``Benchmark.task()``,
+``LiftingTask.with_reference``) instead of editing a shared one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import functools
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import artificial, blend, darknet, dsp, llama, mathfu, simpl_array
 from .model import Benchmark
@@ -21,13 +28,22 @@ _CATEGORY_MODULES = (blend, darknet, dsp, mathfu, simpl_array, llama, artificial
 REAL_WORLD_CATEGORIES = ("blend", "darknet", "dsp", "mathfu", "simpl_array", "llama")
 
 
-def all_benchmarks() -> List[Benchmark]:
-    """The full 77-benchmark corpus, in a stable order."""
+@functools.cache
+def _corpus() -> Tuple[Tuple[Benchmark, ...], Dict[str, Benchmark]]:
+    """The shared corpus in presentation order and by name, built on first use."""
     corpus: List[Benchmark] = []
     for module in _CATEGORY_MODULES:
         corpus.extend(module.benchmarks())
-    _check_unique_names(corpus)
-    return corpus
+    return tuple(corpus), _index_by_name(corpus)
+
+
+def all_benchmarks() -> List[Benchmark]:
+    """The full 77-benchmark corpus, in a stable order.
+
+    A fresh list on every call, so callers may slice or reorder it; the
+    benchmarks in it are the shared, read-only corpus entries.
+    """
+    return list(_corpus()[0])
 
 
 def real_world_benchmarks() -> List[Benchmark]:
@@ -49,11 +65,11 @@ def benchmarks_by_category() -> Dict[str, List[Benchmark]]:
 
 
 def get_benchmark(name: str) -> Benchmark:
-    """Look up one benchmark by its fully qualified name."""
-    for benchmark in all_benchmarks():
-        if benchmark.name == name:
-            return benchmark
-    raise KeyError(f"no benchmark named {name!r}")
+    """Look up one benchmark by its fully qualified name (a shared entry)."""
+    try:
+        return _corpus()[1][name]
+    except KeyError:
+        raise KeyError(f"no benchmark named {name!r}") from None
 
 
 def select(
@@ -93,9 +109,10 @@ def corpus_statistics() -> Dict[str, object]:
     }
 
 
-def _check_unique_names(corpus: Sequence[Benchmark]) -> None:
-    seen: Dict[str, Benchmark] = {}
+def _index_by_name(corpus: Sequence[Benchmark]) -> Dict[str, Benchmark]:
+    by_name: Dict[str, Benchmark] = {}
     for benchmark in corpus:
-        if benchmark.name in seen:
+        if benchmark.name in by_name:
             raise ValueError(f"duplicate benchmark name {benchmark.name!r}")
-        seen[benchmark.name] = benchmark
+        by_name[benchmark.name] = benchmark
+    return by_name

@@ -246,7 +246,7 @@ class TestErrorStatuses:
         body = self._expect_http_error(
             lambda: _post(server, "/submit", {"benchmark": "nope.nope"}), 400
         )
-        assert "no benchmark named" in body["error"]
+        assert "no benchmark named 'nope.nope'" in body["error"]
 
     def test_empty_batch_400(self, server):
         self._expect_http_error(

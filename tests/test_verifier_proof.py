@@ -151,6 +151,17 @@ class TestVerify:
         assert result.equivalent and not result.proved
         assert result.checks_run > 0
 
+    def test_kernel_trapping_on_every_input_is_not_verified(self):
+        # sqrtf is not a supported call: the proof refuses it and every lane
+        # traps, so no input is checked and nothing may be accepted.
+        task = _task(
+            "void f(int n, float *x, float *out) {"
+            " for (int i = 0; i < n; i++) out[i] = sqrtf(x[i]); }"
+        )
+        result = BoundedEquivalenceChecker(task).verify(parse_program("out(i) = x(i) * 7"))
+        assert not result.equivalent and not result.proved
+        assert result.checks_run == 0
+
     def test_difference_vanishing_on_every_lane_is_still_refuted(self):
         # x**5 - 5x**3 + 4x = x(x-1)(x+1)(x-2)(x+2) is zero on the whole value
         # set {-2..2}, so the exhaustive lanes agree everywhere.
