@@ -14,51 +14,33 @@ the verification setup of the paper:
 Pointers are modelled as (buffer, offset) pairs so the pointer-walking idioms
 of the corpus (``*p++``, ``p = &A[0]``, ``p += N``) behave exactly as in C.
 
-Lane values
------------
-
-Bounded verification runs one kernel on thousands of inputs, and most of the
-cost of a run is tree-walk dispatch, not arithmetic.  So a value may also be
-a *lane value*: a 1-D object :class:`numpy.ndarray` holding one entry per
-input (lane), and a single run then executes every lane in lockstep.  Values
-that do not depend on the inputs (sizes, loop counters, literals, pointers)
-stay plain Python scalars.  ``+``, ``-``, ``*`` and unary ``-`` are NumPy
-object-array operations, which apply the same Python operator per element;
-every other operation maps the scalar helper over the lanes with
-``np.frompyfunc``, so each lane computes exactly what a scalar run computes.
-Operations never update an array in place, because buffer snapshots share
-lane arrays.
-
-Some code cannot run in lockstep: a condition or a subscript whose lanes
-disagree, or a lane that traps (a :class:`CRuntimeError` such as division by
-zero).  Such a run raises :class:`LaneDivergence`; the caller then runs the
-lanes one at a time.  Pass lane values for scalar parameters as lane arrays
-and for pointer parameters as a list with one lane array per element.
-
-Polynomial values
------------------
+Symbolic values
+---------------
 
 In exact mode a floating value may also be a :class:`~repro.core.poly.Poly`,
-a polynomial in input variables, and a run then computes each output as a
-polynomial of the inputs.  ``+``, ``-``, ``*`` and division by a constant
-stay polynomial.  Whatever needs a non-constant value — a condition, a
-comparison, a subscript, a math call, division by it, or a store into an
-``int`` — raises :class:`~repro.core.poly.NotPolynomial`, which is not a
+a polynomial in input variables, or a :class:`~repro.core.poly.Quotient` of
+polynomials, and a run then computes each output as a rational function of
+the inputs.  ``+``, ``-``, ``*`` and ``/`` stay symbolic: a value is always
+floating, because storing one into an ``int`` raises, so dividing by one is
+a rational division.  The run records every polynomial it divides by in
+:attr:`ExecutionResult.divisors`, since the kernel traps wherever one is
+zero.  Whatever needs a non-constant value — a condition, a comparison, a
+subscript, a math call, ``%`` or a store into an ``int`` — raises
+:class:`~repro.core.poly.NotPolynomial`, which is not a
 :class:`CRuntimeError`: the run cannot be done symbolically, but no input
 traps.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.poly import NotPolynomial, Poly
+from ..core.poly import Divisor, NotPolynomial, Symbolic
 from .ast import (
     ArrayIndex,
     Assignment,
@@ -94,7 +76,7 @@ MODES = ("int", "float", "exact")
 #: non-termination in malformed kernels.
 DEFAULT_STEP_LIMIT = 20_000_000
 
-Number = Union[int, float, Fraction, Poly]
+Number = Union[int, float, Fraction, Symbolic]
 
 #: The type every store into an ``int`` variable or array converts to.
 _INT = CType("int", 0)
@@ -108,23 +90,6 @@ _COMPARISONS = {
     "<=": operator.le,
     ">=": operator.ge,
 }
-
-
-class LaneDivergence(Exception):
-    """A lane-valued run cannot continue in lockstep.
-
-    Raised when a condition or a subscript differs between lanes, or when any
-    lane traps.  The lanes must then be run one at a time.
-    """
-
-
-def _is_lanes(value) -> bool:
-    return type(value) is np.ndarray
-
-
-def _lanewise(helper, *args) -> np.ndarray:
-    """The scalar *helper* applied per lane; *args* mix lane values and scalars."""
-    return np.frompyfunc(helper, len(args), 1)(*args)
 
 
 class Buffer:
@@ -202,6 +167,8 @@ class ExecutionResult:
     return_value: Optional[Value]
     arguments: Dict[str, Union[Number, List[Number]]]
     steps: int
+    #: The polynomials a symbolic run divided by, up to a constant factor.
+    divisors: FrozenSet[Divisor] = field(default_factory=frozenset)
 
     def array(self, name: str) -> List[Number]:
         value = self.arguments[name]
@@ -225,8 +192,8 @@ class CInterpreter:
         self._mode = mode
         self._step_limit = step_limit
         self._steps = 0
-        #: Whether the current run has lane-valued arguments.
-        self._lanes = False
+        #: The polynomials the current run divided by.
+        self._divisors: set = set()
         #: Names of the current run's ``int`` scalars (parameters and locals).
         self._int_names: set = set()
 
@@ -249,7 +216,7 @@ class CInterpreter:
         callers can inspect output arrays without mutating their inputs.
         """
         self._steps = 0
-        self._lanes = False
+        self._divisors = set()
         self._int_names = set()
         env: Dict[str, Value] = {}
         buffers: Dict[str, Buffer] = {}
@@ -273,10 +240,6 @@ class CInterpreter:
             self._exec_block(function.body, env)
         except _ReturnSignal as signal:
             return_value = signal.value
-        except CRuntimeError as exc:
-            if self._lanes:
-                raise LaneDivergence(f"a lane traps: {exc}") from exc
-            raise
         finals: Dict[str, Union[Number, List[Number]]] = {}
         for param in function.parameters:
             if param.name in buffers:
@@ -284,7 +247,7 @@ class CInterpreter:
             else:
                 value = env[param.name]
                 finals[param.name] = value  # type: ignore[assignment]
-        return ExecutionResult(return_value, finals, self._steps)
+        return ExecutionResult(return_value, finals, self._steps, frozenset(self._divisors))
 
     # ------------------------------------------------------------------ #
     # Argument coercion
@@ -296,7 +259,7 @@ class CInterpreter:
             values = [v for v in raw.reshape(-1).tolist()]
         elif isinstance(raw, (list, tuple)):
             values = list(raw)
-        elif isinstance(raw, (int, float, Fraction, Poly)):
+        elif isinstance(raw, (int, float, Fraction, Symbolic)):
             values = [raw]
         else:
             raise CTypeError(f"cannot pass {type(raw).__name__} for pointer parameter")
@@ -304,21 +267,12 @@ class CInterpreter:
         return [self._coerce_scalar(v, element) for v in values]
 
     def _coerce_scalar(self, raw, ctype: CType) -> Number:
-        if _is_lanes(raw):
-            self._lanes = True
-            if (
-                self._mode == "exact"
-                and ctype.is_floating
-                and all(isinstance(v, Fraction) for v in raw)
-            ):
-                return raw  # what coercing each lane would return
-            return _lanewise(lambda value: self._coerce_scalar(value, ctype), raw)
         if isinstance(raw, Pointer):
             raise CTypeError("cannot pass a pointer where a scalar is expected")
         if self._mode == "exact":
             if ctype.base in ("float", "double"):
-                return raw if isinstance(raw, (Fraction, Poly)) else Fraction(raw)
-            if isinstance(raw, Poly):
+                return raw if isinstance(raw, (Fraction, Symbolic)) else Fraction(raw)
+            if isinstance(raw, Symbolic):
                 raise NotPolynomial(f"a non-constant {ctype.base} argument")
             if ctype.base == "int" or not ctype.is_floating:
                 # Integers stay integers so that C integer division semantics
@@ -491,9 +445,9 @@ class CInterpreter:
         if expr.op == "-":
             return -value
         if expr.op == "!":
-            return _lanewise(_logical_not, value) if _is_lanes(value) else _logical_not(value)
+            return 0 if self._truthy(value) else 1
         if expr.op == "~":
-            return _lanewise(_invert, value) if _is_lanes(value) else _invert(value)
+            return ~int(value)
         raise CRuntimeError(f"unsupported unary operator {expr.op!r}")
 
     def _eval_incdec(self, expr: IncDec, env: Dict[str, Value]) -> Value:
@@ -542,7 +496,6 @@ class CInterpreter:
                 return self._compare(op, left.offset, right.offset)
             raise CRuntimeError(f"unsupported pointer operation {op!r}")
 
-        # NumPy object arrays apply + - * per lane with the Python operator.
         if op == "+":
             return left + right
         if op == "-":
@@ -550,20 +503,23 @@ class CInterpreter:
         if op == "*":
             return left * right
         if op in _COMPARISONS:
-            helper = functools.partial(self._compare, op)
-        elif op == "/":
-            helper = self._divide
-        elif op == "%":
-            helper = _modulo
-        else:
-            raise CRuntimeError(f"unsupported binary operator {op!r}")
-        if _is_lanes(left) or _is_lanes(right):
-            return _lanewise(helper, left, right)
-        return helper(left, right)
+            return self._compare(op, left, right)
+        if op == "/":
+            return self._divide(left, right)
+        if op == "%":
+            return _modulo(left, right)
+        raise CRuntimeError(f"unsupported binary operator {op!r}")
 
     def _divide(self, left: Number, right: Number) -> Number:
-        if isinstance(right, Poly):
-            raise NotPolynomial("division by a non-constant value")
+        if isinstance(right, Symbolic):
+            # A rational division.  The kernel traps wherever the divisor is
+            # zero, so the run records it.
+            try:
+                quotient = left / right
+            except ZeroDivisionError:
+                raise CRuntimeError("division by zero") from None
+            self._divisors |= quotient.divisors
+            return quotient
         if right == 0:
             raise CRuntimeError("division by zero")
         both_int = isinstance(left, int) and isinstance(right, int)
@@ -572,8 +528,9 @@ class CInterpreter:
             quotient = abs(left) // abs(right)
             return quotient if (left >= 0) == (right >= 0) else -quotient
         if self._mode == "exact":
-            # A Fraction or Poly divided by an int or Fraction stays exact.
-            if isinstance(left, (Fraction, Poly)) and isinstance(right, (int, Fraction)):
+            # A Fraction or symbolic value divided by an int or Fraction
+            # stays exact.
+            if isinstance(left, (Fraction, Symbolic)) and isinstance(right, (int, Fraction)):
                 return left / right
             return Fraction(left) / Fraction(right)
         return left / right
@@ -603,19 +560,15 @@ class CInterpreter:
     def _eval_call(self, expr: Call, env: Dict[str, Value]) -> Value:
         args = [self._eval(arg, env) for arg in expr.args]
         name = expr.name
-        if any(isinstance(arg, Poly) for arg in args):
+        if any(isinstance(arg, Symbolic) for arg in args):
             raise NotPolynomial(f"{name}() of a non-constant value")
         if name in ("abs", "labs", "fabs", "fabsf"):
-            helper, args = abs, args[:1]
-        elif name in ("fmax", "fmaxf", "max"):
-            helper, args = max, args[:2]
-        elif name in ("fmin", "fminf", "min"):
-            helper, args = min, args[:2]
-        else:
-            raise CRuntimeError(f"call to unsupported function {name!r}")
-        if any(_is_lanes(arg) for arg in args):
-            return _lanewise(helper, *args)
-        return helper(*args)
+            return abs(*args[:1])
+        if name in ("fmax", "fmaxf", "max"):
+            return max(*args[:2])
+        if name in ("fmin", "fminf", "min"):
+            return min(*args[:2])
+        raise CRuntimeError(f"call to unsupported function {name!r}")
 
     # ------------------------------------------------------------------ #
     # Lvalues and storage
@@ -656,7 +609,7 @@ class CInterpreter:
     def _store(self, location, value: Value) -> None:
         kind = location[0]
         # A store into an int converts the value as C does: it truncates a
-        # fraction and raises NotPolynomial for a Poly.
+        # fraction and raises NotPolynomial for a symbolic value.
         if kind == "var":
             _, name, env = location
             if name in self._int_names and type(value) is not int:
@@ -671,46 +624,32 @@ class CInterpreter:
         pointer.buffer.write(pointer.offset + offset, value)
 
     def _store_coerce(self, value: Value, ctype: CType) -> Value:
-        if _is_lanes(value):
-            return _lanewise(lambda lane: self._store_coerce(lane, ctype), value)
         if isinstance(value, Pointer):
             return value
         if ctype.is_pointer:
             return value
         if ctype.base == "int" and not ctype.is_pointer:
             # int() truncates toward zero, as C does, for Fractions and
-            # floats alike; a Poly raises NotPolynomial.
+            # floats alike; a symbolic value raises NotPolynomial.
             return int(value)
         if self._mode == "exact":
-            return value if isinstance(value, (Fraction, Poly)) else Fraction(value)
+            return value if isinstance(value, (Fraction, Symbolic)) else Fraction(value)
         if self._mode == "float":
             return float(value)
         return value
 
     @staticmethod
     def _truthy(value: Value) -> bool:
-        # A Poly's comparisons, truth value and int() raise NotPolynomial, so
-        # a value-dependent condition, comparison or subscript cannot run
-        # symbolically.
+        # A symbolic value's comparisons, truth value and int() raise
+        # NotPolynomial, so a value-dependent condition, comparison or
+        # subscript cannot run symbolically.
         if isinstance(value, Pointer):
             return True
-        if _is_lanes(value):
-            truth = value != 0
-            if truth.all():
-                return True
-            if truth.any():
-                raise LaneDivergence("a condition differs between lanes")
-            return False
         return value != 0
 
     @staticmethod
     def _offset(value: Value) -> int:
-        """An index or pointer offset; every lane must agree on it."""
-        if _is_lanes(value):
-            first = value[0]
-            if not (value == first).all():
-                raise LaneDivergence("an index differs between lanes")
-            value = first
+        """An index or pointer offset."""
         return int(value)
 
 
@@ -718,14 +657,6 @@ def _modulo(left: Number, right: Number) -> int:
     if right == 0:
         raise CRuntimeError("modulo by zero")
     return int(abs(int(left)) % abs(int(right))) * (1 if left >= 0 else -1)
-
-
-def _logical_not(value: Number) -> int:
-    return 0 if value != 0 else 1
-
-
-def _invert(value: Number) -> int:
-    return ~int(value)
 
 
 def run_function(

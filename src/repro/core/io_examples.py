@@ -6,33 +6,31 @@ generated inputs.  Examples are generated in exact (rational) arithmetic so
 that later comparison against the TACO evaluator is never confounded by
 floating-point rounding.
 
-Bounded verification runs the kernel on many inputs at one sizes value.
+The bounded check runs the kernel on many inputs at one sizes value, one
+:meth:`IOExampleGenerator.generate_one` call each.
 :meth:`IOExampleGenerator.plan` resolves each argument's kind, shape and
-value count once per sizes value; :meth:`IOExampleGenerator.generate_one`
-and the lane-batch methods (:meth:`~IOExampleGenerator.draw_lanes`,
-:meth:`~IOExampleGenerator.run_lanes`) share that plan, and drawing a lane
-batch consumes the random generator exactly as one ``generate_one`` call per
-lane would.
+value count once per sizes value, and :meth:`ArgumentPlan.values` turns a
+flat row of enumerated values into fixed inputs.
 
 :meth:`IOExampleGenerator.run_symbolic` runs the kernel once with every free
 input element and every initial output element a polynomial variable
-(:mod:`repro.core.poly`), for proving equivalence; it draws nothing from the
-random generator.
+(:mod:`repro.core.poly`), for proving equivalence; the run's outputs are
+polynomials or quotients of them, and it records every polynomial the kernel
+divides by.  It draws nothing from the random generator.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..cfront import CInterpreter, FunctionDef
 from ..cfront.analysis import ArgumentKind, OutputKind, SignatureInfo, analyze_signature
-from .poly import Poly
+from .poly import Divisor, Poly, Quotient
 from .task import LiftingTask
 
 #: Default value range for randomly generated tensor elements.  Small odd
@@ -116,42 +114,6 @@ class ArgumentPlan:
         return fixed
 
 
-#: One lane of a batch: the flat free-input values (None draws them at
-#: random) and whether random draws avoid zero.
-Lane = Tuple[Optional[Sequence[int]], bool]
-
-
-@dataclass
-class LaneBatch:
-    """The drawn inputs of many examples at one sizes value, one per lane."""
-
-    plan: ArgumentPlan
-    lanes: int
-    #: Recorded inputs stacked to ``(lanes,) + shape``, by argument name.
-    inputs: Dict[str, np.ndarray]
-    #: Interpreter arguments: lane arrays for scalars, lists of lane arrays
-    #: for pointers, plain ints for sizes.
-    call_args: Dict[str, object]
-
-    def example(self, lane: int, outputs: np.ndarray) -> IOExample:
-        """Lane *lane* as an :class:`IOExample`, given the batch's outputs."""
-        inputs: Dict[str, Union[int, Fraction, np.ndarray]] = {}
-        for slot in self.plan.slots:
-            if slot.kind == "size":
-                inputs[slot.name] = slot.size
-            elif slot.kind == "scalar":
-                inputs[slot.name] = self.inputs[slot.name][lane]
-            elif not slot.is_output:
-                inputs[slot.name] = self.inputs[slot.name][lane, ...].copy()
-        output = outputs[lane, ...]
-        return IOExample(
-            inputs=inputs,
-            output=output.copy() if self.plan.output_shape else output.item(),
-            output_name=self.plan.output_name,
-            sizes=dict(self.plan.sizes),
-        )
-
-
 @dataclass
 class SymbolicRun:
     """The kernel run once on polynomial variables at one sizes value."""
@@ -160,11 +122,14 @@ class SymbolicRun:
     #: Free inputs by argument name: Poly scalars and object arrays of Polys
     #: shaped like the recorded inputs of an :class:`IOExample`.
     inputs: Dict[str, Union[Poly, np.ndarray]]
-    #: The output as polynomials (or constants), shaped like an example's.
-    output: Union[Poly, Fraction, np.ndarray]
+    #: The output as polynomials, quotients or constants, shaped like an
+    #: example's.
+    output: Union[Poly, Quotient, Fraction, np.ndarray]
     #: Variable id -> (argument name, flat element index); includes the
     #: output buffer's initial elements.
     variables: List[Tuple[str, int]]
+    #: Every polynomial the kernel divides by: it traps where one is zero.
+    divisors: FrozenSet[Divisor]
 
     def values(self, point: Mapping[int, int]) -> Dict[str, Union[int, List[int]]]:
         """*point* (variable id -> value) as ``generate_one``'s ``values``.
@@ -214,9 +179,6 @@ class IOExampleGenerator:
     def getstate(self) -> object:
         """The random generator's state (see :meth:`random.Random.getstate`)."""
         return self._rng.getstate()
-
-    def setstate(self, state: object) -> None:
-        self._rng.setstate(state)
 
     def plan(self, sizes: Optional[Mapping[str, int]] = None) -> ArgumentPlan:
         """The argument plan at *sizes* (over the spec's defaults), memoized."""
@@ -322,61 +284,8 @@ class IOExampleGenerator:
         )
 
     # ------------------------------------------------------------------ #
-    # Lane batches (bounded verification)
+    # Symbolic runs (proof)
     # ------------------------------------------------------------------ #
-    def draw_lanes(
-        self, sizes: Optional[Mapping[str, int]], lanes: Sequence[Lane]
-    ) -> LaneBatch:
-        """Draw the inputs of one example per lane, without running them.
-
-        The generator's RNG is consumed exactly as calling
-        :meth:`generate_one` once per lane would: per lane, in argument
-        order, the random scalars and arrays, including the output buffer's
-        initial contents.  A lane's fixed row supplies every free input in
-        :attr:`ArgumentPlan.free_slots` order.
-        """
-        plan = self.plan(sizes)
-        spec_avoid_zero = self._task.spec.avoid_zero
-        drawn = [slot for slot in plan.slots if slot.kind != "size"]
-        rows = []
-        for fixed, avoid_zero in lanes:
-            avoid_zero = avoid_zero or spec_avoid_zero
-            row: List[int] = []
-            cursor = 0
-            for slot in drawn:
-                if fixed is not None and slot.free:
-                    row.extend(fixed[cursor : cursor + slot.count])
-                    cursor += slot.count
-                else:
-                    row.extend(
-                        self._random_value(slot.low, slot.high, avoid_zero)
-                        for _ in range(slot.count)
-                    )
-            rows.append(row)
-        count = len(rows)
-        table = np.empty((count, sum(slot.count for slot in drawn)), dtype=object)
-        table[:] = rows
-        table = _FRACTIONS(table)
-        columns = np.ascontiguousarray(table.T)
-
-        inputs: Dict[str, np.ndarray] = {}
-        call_args: Dict[str, object] = {}
-        start = 0
-        for slot in plan.slots:
-            if slot.kind == "size":
-                call_args[slot.name] = slot.size
-                inputs[slot.name] = np.full(count, slot.size, dtype=object)
-                continue
-            stop = start + slot.count
-            if slot.kind == "scalar":
-                call_args[slot.name] = columns[start]
-            else:
-                call_args[slot.name] = list(columns[start:stop])
-            if not slot.is_output:
-                inputs[slot.name] = table[:, start:stop].reshape((count,) + slot.shape)
-            start = stop
-        return LaneBatch(plan, count, inputs, call_args)
-
     def run_symbolic(self, sizes: Optional[Mapping[str, int]]) -> SymbolicRun:
         """Run the kernel once with every drawn element a polynomial variable.
 
@@ -405,33 +314,14 @@ class IOExampleGenerator:
                 array[:] = elements
                 inputs[slot.name] = array.reshape(slot.shape)
         result = self._interpreter.run(self._function, call_args)
-        output: Union[Poly, Fraction, np.ndarray]
+        output: Union[Poly, Quotient, Fraction, np.ndarray]
         if plan.output_name is None:
             output = result.return_value  # type: ignore[assignment]
         else:
             flat = np.empty(len(result.array(plan.output_name)), dtype=object)
             flat[:] = result.array(plan.output_name)
             output = flat.reshape(plan.output_shape) if plan.output_shape else flat[0]
-        return SymbolicRun(plan, inputs, output, variables)
-
-    def run_lanes(self, batch: LaneBatch) -> np.ndarray:
-        """Run the kernel once over every lane of *batch*.
-
-        Returns the outputs stacked to ``(lanes,) + output shape``.  Raises
-        :class:`~repro.cfront.interpreter.LaneDivergence` when the lanes
-        cannot run in lockstep (see :mod:`repro.cfront.interpreter`).
-        """
-        result = self._interpreter.run(self._function, batch.call_args)
-        plan = batch.plan
-        if plan.output_name is None:
-            outputs = np.empty(batch.lanes, dtype=object)
-            outputs[:] = result.return_value
-            return outputs
-        flat = result.array(plan.output_name)
-        outputs = np.empty((len(flat), batch.lanes), dtype=object)
-        for position, value in enumerate(flat):
-            outputs[position] = value
-        return outputs.T.reshape((batch.lanes,) + plan.output_shape)
+        return SymbolicRun(plan, inputs, output, variables, result.divisors)
 
     # ------------------------------------------------------------------ #
     # Random values
@@ -476,11 +366,3 @@ class IOExampleGenerator:
             value = self._rng.randint(low, high)
         return value
 
-
-@functools.lru_cache(maxsize=256)
-def _fraction(value: int) -> Fraction:
-    """``Fraction(value)``, shared: Fractions are immutable."""
-    return Fraction(int(value))
-
-
-_FRACTIONS = np.frompyfunc(_fraction, 1, 1)

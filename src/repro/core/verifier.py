@@ -1,4 +1,4 @@
-"""Equivalence verification (Section 7): proof first, bounded lanes as fallback.
+"""Equivalence verification (Section 7): proof first, a bounded check as fallback.
 
 The paper lowers both the original C program and the lifted TACO program to a
 common representation and hands them to CBMC (extended with rational
@@ -8,25 +8,42 @@ This reproduction does the same in two ways.
 Proof
 -----
 
-With sizes fixed, a kernel without division by an input is a loop nest whose
-control flow does not depend on input values, so the C kernel and a TACO
-program each compute, per output element, a polynomial in the input
-elements — and they agree on every rational input exactly when those
-polynomials are equal.  :meth:`BoundedEquivalenceChecker.verify` first runs
-both sides once on polynomial variables (:mod:`repro.core.poly`) at every
-uniform size from 1 to ``size_bound + 1``, one variable per free input
-element and per initial output-buffer element.  Equal polynomials at every
-size are a proof (``proved=True``) and draw no random inputs.  A size at
-which the C kernel traps is outside the claim and skipped, except at
-``size_bound`` itself.
+With sizes fixed, a kernel whose control flow does not depend on input
+values is a straight-line program, so the C kernel and a TACO program each
+compute, per output element, a rational function of the input elements: a
+polynomial, or a quotient ``n/d`` of polynomials once it divides by an input
+(:mod:`repro.core.poly`).  :meth:`BoundedEquivalenceChecker.verify` first
+runs both sides once on polynomial variables at every uniform size from 1 to
+``size_bound + 1``, one variable per free input element and per initial
+output-buffer element.  Two outputs are equal when ``n1*d2 - n2*d1`` is the
+zero polynomial.  A size at which the C kernel traps on every input is
+outside the claim and skipped, except at ``size_bound`` itself.
 
-Bounded lanes (fallback)
+The claim covers only inputs on which the C kernel does not trap, and it
+traps where a polynomial it divides by is zero.  So equal outputs are a
+proof (``proved=True``) only when every polynomial the TACO program divides
+by is, up to a constant factor, one the C run divides by at that size;
+otherwise the TACO program may trap where the C kernel does not, and the
+bounded check decides.  Every division is recorded where it happens — the C
+run logs its divisors, and a TACO quotient carries its own, even when
+multiplied by 0 — so no divisor is lost.  A proof draws no random inputs.
+
+When the outputs differ, the program is refuted without the bounded check:
+the product of the difference's numerator and every divisor on both sides
+is evaluated at seeded integer points until one is non-zero
+(Schwartz–Zippel).  At that point neither side traps and they disagree, so
+the C kernel's run there is the counterexample, with ``checks_run=1``.
+When the TACO side fails or has the wrong shape, or the difference is a
+non-zero constant, any point that keeps the divisors non-zero refutes.
+
+Bounded check (fallback)
 ------------------------
 
-When a side needs the value of an input — division by one, a
-value-dependent branch or subscript, a math call on one (the run raises
-:class:`~repro.core.poly.NotPolynomial`) — or the C kernel traps at
-``size_bound``, :meth:`~BoundedEquivalenceChecker.check_lanes` runs the
+When a side needs the value of an input — a value-dependent branch or
+subscript, a math call on one, an ``int`` store or a remainder (the run
+raises :class:`~repro.core.poly.NotPolynomial`) — when the TACO program
+divides by a polynomial the C kernel does not, or when the C kernel traps
+at ``size_bound``, :meth:`~BoundedEquivalenceChecker.check_bounded` runs the
 explicit-state analogue of CBMC's check:
 
 * sizes are fixed to ``size_bound``,
@@ -34,32 +51,13 @@ explicit-state analogue of CBMC's check:
 * the space of inputs is enumerated **exhaustively** when it is smaller than
   a configurable cap, and sampled deterministically (after the structured
   corner cases all-zeros, all-ones, all-minus-ones and all-twos) otherwise,
-* both sides are executed in exact rational arithmetic and compared for
-  equality.
+* both sides are executed in exact rational arithmetic, one input at a
+  time, and compared for equality; the first mismatching input is the
+  counterexample.
 
-When the polynomials differ, the program is refuted without the lanes: the
-difference polynomial is evaluated at seeded integer points until one is
-non-zero (Schwartz–Zippel), and the C kernel's run at that point is the
-counterexample.  When the TACO side fails or has the wrong shape, or the
-difference is a non-zero constant, any point refutes.
-
-Lanes
------
-
-Each input is a *lane*, and lanes are checked in chunks of
-:data:`LANE_CHUNK`.  A chunk's inputs are drawn together, the C kernel is
-interpreted once over lane values (:mod:`repro.cfront.interpreter`), the TACO
-program is evaluated once over a leading lane axis
-(:meth:`~repro.taco.evaluator.TacoEvaluator.evaluate_lanes`), and the outputs
-are compared lane by lane.  The first mismatching lane is the counterexample.
-When a chunk cannot run in lockstep — a condition or subscript differs
-between lanes, a lane traps, or the batched TACO evaluation raises — the chunk
-is redrawn and checked one input at a time, skipping trapping inputs as
-before.  Either way the verdict, ``checks_run``, the counterexample and the
-example generator's random state are exactly those of checking the inputs
-one at a time, so batching changes the cost of the bounded check, not its
-guarantee.  When the C kernel traps on every input, no input is checked and
-the verdict is *not equivalent*, with ``checks_run=0``.
+An input on which the C kernel traps is outside the claim and skipped.
+When the C kernel traps on every input, no input is checked and the verdict
+is *not equivalent*, with ``checks_run=0``.
 """
 
 from __future__ import annotations
@@ -67,37 +65,35 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..cfront import FunctionDef
 from ..cfront.analysis import SignatureInfo, analyze_signature
 from ..cfront.errors import CRuntimeError
-from ..cfront.interpreter import LaneDivergence
 from ..taco import TacoProgram
 from ..taco.errors import TacoError
 from ..taco.evaluator import TacoEvaluator
-from .io_examples import IOExample, IOExampleGenerator, Lane, SymbolicRun
-from .poly import NotPolynomial, Poly, is_zero, witness
+from .io_examples import IOExample, IOExampleGenerator, SymbolicRun
+from .poly import Divisor, NotPolynomial, Poly, Quotient, is_zero, witness
 from .task import LiftingTask
 from .validator import _outputs_equal
-
-#: Lanes checked per batched run.  Bounds the memory of one run (every
-#: intermediate value holds one entry per lane) and the work a divergent
-#: chunk repeats lane by lane.
-LANE_CHUNK = 256
 
 #: Seed of the integer points a refuting difference polynomial is evaluated
 #: at.
 WITNESS_SEED = 1729
+
+#: One bounded-check input: the flat free-input values (None draws them at
+#: random) and whether random draws avoid zero.
+_Input = Tuple[Optional[Sequence[int]], bool]
 
 
 @dataclass(frozen=True)
 class VerifierConfig:
     """Bounds for the equivalence check."""
 
-    #: Value each size parameter is fixed to by the lane check; the proof
+    #: Value each size parameter is fixed to by the bounded check; the proof
     #: covers every uniform size from 1 to ``size_bound + 1``.
     size_bound: int = 2
     #: The exact values input elements range over during exhaustive checks.
@@ -116,12 +112,13 @@ class VerificationResult:
     """Outcome of the equivalence check."""
 
     equivalent: bool
-    #: Inputs checked: the lanes run, one for a polynomial witness, none
+    #: Inputs checked: those the bounded check ran, one for a witness, none
     #: for a proof.
     checks_run: int
     counterexample: Optional[IOExample] = None
     exhaustive: bool = False
-    #: Equal polynomials: equivalent on every rational input at these sizes.
+    #: Equal rational functions: equivalent on every rational input on which
+    #: the C kernel does not trap, at these sizes.
     proved: bool = False
     #: The uniform sizes the proof covers (empty unless ``proved``).
     proved_sizes: Tuple[int, ...] = ()
@@ -132,13 +129,15 @@ class VerificationResult:
 
 @dataclass
 class _Refutation:
-    """Unequal polynomials at one size."""
+    """Unequal outputs at one size."""
 
     run: SymbolicRun
-    #: The first non-zero output difference (a Poly or a non-zero constant);
-    #: None when the TACO side fails or has the wrong shape, so that every
-    #: input refutes.
+    #: The first non-zero output difference (a Poly, a Quotient or a non-zero
+    #: constant); None when the TACO side fails or has the wrong shape, so
+    #: that every input on which the C kernel runs refutes.
     difference: object
+    #: What both sides divide by: a witness keeps all of them non-zero.
+    divisors: FrozenSet[Divisor]
 
 
 class BoundedEquivalenceChecker:
@@ -172,8 +171,8 @@ class BoundedEquivalenceChecker:
     def verify(self, program: TacoProgram) -> VerificationResult:
         """Verify that *program* is equivalent to the C kernel.
 
-        Proves or refutes it by polynomial identity where both sides allow
-        it, and otherwise falls back to :meth:`check_lanes`.
+        Proves or refutes it by the identity of rational functions where both
+        sides allow it, and otherwise falls back to :meth:`check_bounded`.
         """
         proof = None
         if self._polynomial:
@@ -182,7 +181,7 @@ class BoundedEquivalenceChecker:
             except NotPolynomial:
                 pass
         if proof is None:
-            return self.check_lanes(program)
+            return self.check_bounded(program)
         if isinstance(proof, _Refutation):
             return VerificationResult(
                 equivalent=False, checks_run=1, counterexample=self._witness_example(proof)
@@ -191,8 +190,8 @@ class BoundedEquivalenceChecker:
             equivalent=True, checks_run=0, proved=True, proved_sizes=proof
         )
 
-    def check_lanes(self, program: TacoProgram) -> VerificationResult:
-        """Bounded-check *program* on sampled or enumerated input lanes."""
+    def check_bounded(self, program: TacoProgram) -> VerificationResult:
+        """Bounded-check *program* on enumerated or sampled inputs."""
         config = self._config
         sizes = {name: config.size_bound for name in self._task.spec.sizes}
         plan = self._generator.plan(sizes)
@@ -200,34 +199,43 @@ class BoundedEquivalenceChecker:
         total_points = len(config.value_set) ** max(slots, 0) if slots else 1
         exhaustive = 0 < total_points <= config.exhaustive_cap and slots > 0
 
-        lanes = self._exhaustive_lanes(slots) if exhaustive else self._sampled_lanes(slots)
+        inputs = self._exhaustive_inputs(slots) if exhaustive else self._sampled_inputs(slots)
         checks = 0
-        while True:
-            chunk = list(itertools.islice(lanes, LANE_CHUNK))
-            if not chunk:
-                # No input ran (the C kernel trapped on every one): a check
-                # of nothing is no evidence of equivalence.
-                return VerificationResult(
-                    equivalent=checks > 0, checks_run=checks, exhaustive=exhaustive
+        for row, avoid_zero in inputs:
+            try:
+                example = self._generator.generate_one(
+                    sizes=sizes,
+                    avoid_zero=avoid_zero,
+                    values=None if row is None else plan.values(row),
                 )
-            counterexample, checked = self._check_chunk(program, sizes, chunk)
-            checks += checked
-            if counterexample is not None:
+            except CRuntimeError:
+                # The original C program traps on this input (e.g. divides by
+                # zero): such executions are outside the equivalence claim,
+                # exactly as CBMC treats traps, so the input is skipped.
+                continue
+            checks += 1
+            if not self._check_example(program, example):
                 return VerificationResult(
                     equivalent=False,
                     checks_run=checks,
-                    counterexample=counterexample,
+                    counterexample=example,
                     exhaustive=exhaustive,
                 )
+        # No input ran when the C kernel trapped on every one: a check of
+        # nothing is no evidence of equivalence.
+        return VerificationResult(
+            equivalent=checks > 0, checks_run=checks, exhaustive=exhaustive
+        )
 
     # ------------------------------------------------------------------ #
-    # Proof by polynomial identity
+    # Proof by the identity of rational functions
     # ------------------------------------------------------------------ #
     def _prove(self, program: TacoProgram) -> Union[None, Tuple[int, ...], _Refutation]:
         """The sizes proved, the first refuting size, or None.
 
         None means no proof is possible: the C kernel traps at
-        ``size_bound``.  Raises :class:`NotPolynomial` when either side
+        ``size_bound``, or the TACO program divides by a polynomial the C
+        kernel does not.  Raises :class:`NotPolynomial` when either side
         needs an input's value.
         """
         bound = self._config.size_bound
@@ -245,15 +253,21 @@ class BoundedEquivalenceChecker:
                     output_shape=run.plan.output_shape,
                 )
             except (TacoError, KeyError, ZeroDivisionError):
-                return _Refutation(run, None)
+                return _Refutation(run, None, run.divisors)
             expected = np.asarray(run.output, dtype=object)
             actual = np.asarray(actual, dtype=object)
             if actual.shape != expected.shape:
-                return _Refutation(run, None)
-            for want, got in zip(expected.reshape(-1), actual.reshape(-1)):
+                return _Refutation(run, None, run.divisors)
+            actual = actual.reshape(-1)
+            divisors = frozenset().union(
+                *(got.divisors for got in actual if isinstance(got, Quotient))
+            )
+            for want, got in zip(expected.reshape(-1), actual):
                 difference = want - got
                 if not is_zero(difference):
-                    return _Refutation(run, difference)
+                    return _Refutation(run, difference, run.divisors | divisors)
+            if not divisors <= run.divisors:
+                return None  # the TACO program may trap where C does not
             proved.append(size)
         return tuple(proved)
 
@@ -272,13 +286,20 @@ class BoundedEquivalenceChecker:
     def _witness_example(self, refutation: _Refutation) -> IOExample:
         """The C kernel's run at an integer point that refutes.
 
-        Unless the difference is a non-constant polynomial, any point does.
+        The point keeps the difference's numerator and every divisor
+        non-zero; when that product is constant, any point does.
         """
         run = refutation.run
         rng = random.Random(WITNESS_SEED)
         point = {ident: rng.randint(-2, 2) for ident in range(len(run.variables))}
-        if isinstance(refutation.difference, Poly):
-            point.update(witness(refutation.difference, rng))
+        difference = refutation.difference
+        nonzero = difference.numerator if isinstance(difference, Quotient) else difference
+        if nonzero is None:
+            nonzero = 1
+        for divisor in refutation.divisors:
+            nonzero = nonzero * Poly(dict(divisor))
+        if isinstance(nonzero, Poly):
+            point.update(witness(nonzero, rng))
         return self._generator.generate_one(
             sizes=run.plan.sizes, values=run.values(point)
         )
@@ -295,11 +316,11 @@ class BoundedEquivalenceChecker:
             values = tuple(v for v in values if v != 0) or (1,)
         return values
 
-    def _exhaustive_lanes(self, slots: int) -> Iterator[Lane]:
+    def _exhaustive_inputs(self, slots: int) -> Iterator[_Input]:
         for row in itertools.product(self._value_choices(), repeat=slots):
             yield row, False
 
-    def _sampled_lanes(self, slots: int) -> Iterator[Lane]:
+    def _sampled_inputs(self, slots: int) -> Iterator[_Input]:
         avoid_zero = self._avoid_zero()
         # Structured corner cases first: all zeros, ones, minus ones, twos.
         for pattern in (0, 1, -1, 2):
@@ -312,62 +333,6 @@ class BoundedEquivalenceChecker:
     # ------------------------------------------------------------------ #
     # Checking
     # ------------------------------------------------------------------ #
-    def _check_chunk(
-        self, program: TacoProgram, sizes: Mapping[str, int], chunk: List[Lane]
-    ) -> Tuple[Optional[IOExample], int]:
-        """Check one chunk of lanes: (first counterexample or None, checks run).
-
-        The lanes run batched; the generator's RNG ends where checking the
-        lanes one at a time, up to the counterexample, would leave it.
-        """
-        generator = self._generator
-        state = generator.getstate()
-        batch = generator.draw_lanes(sizes, chunk)
-        try:
-            expected = generator.run_lanes(batch)
-            actual = self._evaluator.evaluate_lanes(
-                program,
-                {access.name: batch.inputs[access.name] for access in program.rhs.tensors()},
-                batch.lanes,
-                batch.plan.output_shape,
-            )
-        except (LaneDivergence, CRuntimeError, TacoError, KeyError, ZeroDivisionError):
-            generator.setstate(state)
-            return self._check_lanes_one_by_one(program, sizes, chunk)
-        if actual.shape != expected.shape:
-            agree = np.zeros(batch.lanes, dtype=bool)
-        else:
-            agree = (actual == expected).all(axis=tuple(range(1, expected.ndim)))
-        if agree.all():
-            return None, batch.lanes
-        lane = int(np.argmin(agree))
-        # Leave the RNG where a lane-by-lane check stops: after lane `lane`.
-        generator.setstate(state)
-        generator.draw_lanes(sizes, chunk[: lane + 1])
-        return batch.example(lane, expected), lane + 1
-
-    def _check_lanes_one_by_one(
-        self, program: TacoProgram, sizes: Mapping[str, int], chunk: List[Lane]
-    ) -> Tuple[Optional[IOExample], int]:
-        plan = self._generator.plan(sizes)
-        checks = 0
-        for row, avoid_zero in chunk:
-            try:
-                example = self._generator.generate_one(
-                    sizes=sizes,
-                    avoid_zero=avoid_zero,
-                    values=None if row is None else plan.values(row),
-                )
-            except CRuntimeError:
-                # The original C program traps on this input (e.g. divides by
-                # zero): such executions are outside the equivalence claim,
-                # exactly as CBMC treats traps, so the input is skipped.
-                continue
-            checks += 1
-            if not self._check_example(program, example):
-                return example, checks
-        return None, checks
-
     def _check_example(self, program: TacoProgram, example: IOExample) -> bool:
         try:
             bindings = {

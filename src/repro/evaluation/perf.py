@@ -292,13 +292,20 @@ def _measure_validator(
             candidates += validator.stats.candidates
         return candidates, time.perf_counter() - started
 
-    results: Dict[str, Dict[str, float]] = {}
-    for label, factory in (
-        ("tiered_cached", lambda t: TemplateValidator(t.examples, t.constants, tiered=True)),
-        ("seed_reference", lambda t: SeedReferenceValidator(t.examples, t.constants)),
-    ):
+    factories = {
+        "tiered_cached": lambda t: TemplateValidator(t.examples, t.constants, tiered=True),
+        "seed_reference": lambda t: SeedReferenceValidator(t.examples, t.constants),
+    }
+    for factory in factories.values():
         run_once(factory)  # warm-up (allocators, caches, branch predictors)
-        rounds = [run_once(factory) for _ in range(MEASURE_ROUNDS)]
+    # Interleaved rounds, so that a burst of load on a busy machine slows
+    # both sides rather than only the one being timed.
+    timed: Dict[str, list] = {label: [] for label in factories}
+    for _ in range(MEASURE_ROUNDS):
+        for label, factory in factories.items():
+            timed[label].append(run_once(factory))
+    results: Dict[str, Dict[str, float]] = {}
+    for label, rounds in timed.items():
         candidates = rounds[0][0]
         seconds = min(elapsed for _count, elapsed in rounds)
         results[label] = {

@@ -33,9 +33,10 @@ from ..lifting.descriptor import describe_lifter, describe_oracle  # noqa: F401
 #: Bump when the entry layout or the digest inputs change incompatibly, or
 #: when a stored verdict would mean something else today (2: the verifier
 #: proves equivalence by polynomial identity, so a verdict of the sampled
-#: check must not replay); stored under a versioned directory so old caches
-#: are ignored, not misread.
-STORE_SCHEMA_VERSION = 2
+#: check must not replay; 3: it also proves kernels that divide by an input,
+#: whose stored verdicts came from the sampled check); stored under a
+#: versioned directory so old caches are ignored, not misread.
+STORE_SCHEMA_VERSION = 3
 
 
 def canonical_json(value: object) -> str:

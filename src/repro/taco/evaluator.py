@@ -16,8 +16,8 @@ both, in two arithmetic modes:
 * ``mode="exact"`` — object arrays of :class:`fractions.Fraction`, mirroring
   the rational-datatype extension of CBMC used by the paper's verifier.
   Elements may also be :class:`~repro.core.poly.Poly` polynomials in input
-  variables; division by a non-constant one raises
-  :class:`~repro.core.poly.NotPolynomial`.
+  variables; dividing by one yields a :class:`~repro.core.poly.Quotient`
+  that records the polynomial divided by.
 
 Hot-path architecture
 ---------------------
@@ -30,13 +30,6 @@ that barely changes between candidates, so :class:`EvaluationContext` caches
 both: bindings are converted once per (example, mode) and the layout is
 memoized per access pattern.  :meth:`TacoEvaluator.evaluate` remains the
 simple one-shot API and simply runs against a throwaway context.
-
-Bounded verification evaluates one program on many inputs.
-:meth:`TacoEvaluator.evaluate_lanes` does that in a single evaluation: every
-binding is stacked to ``(lanes,) + shape`` and a reserved lane index is
-prepended to the left-hand side and to every access, so each lane is one
-slice of the iteration space.  The lane index is not a TACO identifier and
-only exists inside that call.
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.poly import Poly
+from ..core.poly import Symbolic
 from .ast import (
     BinaryOp,
     BinOp,
@@ -65,10 +58,6 @@ TensorValue = Union[int, float, Fraction, np.ndarray, Sequence]
 #: Arithmetic modes supported by the evaluator.
 MODES = ("float", "exact", "int")
 
-#: The index variable :meth:`TacoEvaluator.evaluate_lanes` prepends to every
-#: access.  It is not a TACO identifier, so no program can use it.
-LANE_INDEX = "<lane>"
-
 
 def _as_array(value: TensorValue, mode: str) -> np.ndarray:
     """Coerce a binding into a NumPy array of the mode's dtype."""
@@ -77,7 +66,7 @@ def _as_array(value: TensorValue, mode: str) -> np.ndarray:
         flat = arr.reshape(-1)
         converted = np.empty(flat.shape, dtype=object)
         for idx, item in enumerate(flat):
-            converted[idx] = item if isinstance(item, (Fraction, Poly)) else Fraction(item)
+            converted[idx] = item if isinstance(item, (Fraction, Symbolic)) else Fraction(item)
         return converted.reshape(arr.shape)
     if mode == "int":
         return np.asarray(value, dtype=np.int64)
@@ -102,7 +91,7 @@ def _full_dtype(mode: str):
 
 def _coerce_scalar_mode(value, mode: str):
     if mode == "exact":
-        return value if isinstance(value, (Fraction, Poly)) else Fraction(value)
+        return value if isinstance(value, (Fraction, Symbolic)) else Fraction(value)
     if mode == "int":
         return np.int64(value)
     return float(value)
@@ -363,24 +352,6 @@ class TacoEvaluator:
             # whose summation would otherwise warn.
             return self._reduce(program, value, index_order, extents)
 
-    def evaluate_lanes(
-        self,
-        program: TacoProgram,
-        bindings: Mapping[str, np.ndarray],
-        lanes: int,
-        output_shape: Tuple[int, ...],
-    ) -> np.ndarray:
-        """Evaluate *program* once per lane, in a single evaluation.
-
-        Every binding is stacked to ``(lanes,) + shape``; the result is
-        stacked to ``(lanes,) + output_shape``, lane ``k`` holding what
-        :meth:`evaluate` returns for the bindings' ``k``-th slices.
-        """
-        lane_program = TacoProgram(
-            _with_lane_index(program.lhs), _with_lane_index(program.rhs)
-        )
-        return self.evaluate(lane_program, bindings, (lanes,) + tuple(output_shape))
-
     def evaluate_str(
         self,
         source: str,
@@ -483,25 +454,16 @@ class TacoEvaluator:
         return result
 
 
-def _with_lane_index(node: Expression) -> Expression:
-    """*node* with :data:`LANE_INDEX` prepended to every tensor access."""
-    if isinstance(node, TensorAccess):
-        return TensorAccess(node.name, (LANE_INDEX,) + node.indices)
-    if isinstance(node, BinaryOp):
-        return BinaryOp(node.op, _with_lane_index(node.left), _with_lane_index(node.right))
-    if isinstance(node, UnaryOp):
-        return UnaryOp(_with_lane_index(node.operand))
-    return node
-
-
 def _exact_divide(left, right):
-    """Element-wise Fraction division.
+    """Element-wise exact division.
 
     Object-array division dispatches to ``Fraction.__truediv__`` element-wise
     inside NumPy's C loop, which is far cheaper than an explicit ``nditer``
     Python loop; a zero divisor raises :class:`ZeroDivisionError` from the
     Fraction itself, which the caller converts to a
-    :class:`TacoEvaluationError`.
+    :class:`TacoEvaluationError`.  A symbolic divisor makes the element a
+    :class:`~repro.core.poly.Quotient` that records it, so a proof can
+    compare where the program traps with where the C kernel does.
     """
     left_arr = np.asarray(left, dtype=object)
     right_arr = np.asarray(right, dtype=object)

@@ -18,7 +18,7 @@ from repro.cfront import (
     run_function,
     tokenize,
 )
-from repro.cfront.interpreter import LaneDivergence
+from repro.core.poly import Poly
 from repro.suite import all_benchmarks
 
 
@@ -156,6 +156,27 @@ class TestInterpreter:
         with pytest.raises(CRuntimeError):
             run_function(fn, {"a": 1, "out": [0]})
 
+    def test_float_division_by_a_zero_argument_raises(self):
+        fn = parse_function("void f(float a, float b, float *out) { *out = a / b; }")
+        with pytest.raises(CRuntimeError):
+            CInterpreter().run(fn, {"a": 1, "b": 0, "out": [0]})
+
+    @pytest.mark.parametrize("a, b, x, want", [
+        (-7, 2, Fraction(7, 2), [-3, -1, 3, -3]),
+        (7, 2, Fraction(1, 3), [3, 1, 0, 3]),
+        (5, -3, 4, [-1, 2, 4, -1]),
+        (-9, -4, Fraction(9, 4), [2, -1, 2, 2]),
+    ])
+    def test_int_division_remainder_and_casts_truncate_in_exact_mode(self, a, b, x, want):
+        fn = parse_function(
+            "void f(int a, int b, float x, int *out) {"
+            " int q = a / b; out[0] = q; out[1] = a % b; out[2] = (int) x;"
+            " out[3] = a / b; }"
+        )
+        result = CInterpreter().run(fn, {"a": a, "b": b, "x": x, "out": [0] * 4})
+        assert result.array("out") == want
+        assert all(type(v) is int for v in result.array("out"))
+
     def test_step_limit(self):
         fn = parse_function("void f(int n, int *out) { while (1) { *out = 1; } }")
         interpreter = CInterpreter(step_limit=1000)
@@ -242,100 +263,41 @@ class TestInterpreterProperties:
 
 
 # ---------------------------------------------------------------------- #
-# Lane values: one run over many inputs
+# Symbolic values: one run on variables stands for every input
 # ---------------------------------------------------------------------- #
-def _lanes(*values):
-    out = np.empty(len(values), dtype=object)
-    out[:] = [Fraction(v) if isinstance(v, int) else v for v in values]
-    return out
+def _value_at(value, point):
+    """A symbolic run's output element at an integer *point*."""
+    from repro.core.poly import Poly, Quotient
+
+    if isinstance(value, Quotient):
+        return _value_at(value.numerator, point) / _value_at(value.denominator, point)
+    if isinstance(value, Poly):
+        return value.evaluate(point)
+    return Fraction(value)
 
 
-def _lane(value, lane):
-    return value[lane] if isinstance(value, np.ndarray) else value
-
-
-def _same(lane_value, scalar_value):
-    return type(lane_value) is type(scalar_value) and lane_value == scalar_value
-
-
-class TestLaneValues:
+class TestSymbolicValues:
     @pytest.mark.parametrize("kernel", [b.name for b in all_benchmarks()])
-    def test_lane_run_equals_per_lane_scalar_runs(self, kernel):
+    def test_symbolic_run_equals_scalar_runs(self, kernel):
+        import random
+
         from repro.core import IOExampleGenerator
         from repro.suite import get_benchmark
 
-        generator = IOExampleGenerator(get_benchmark(kernel).task(), seed=3)
-        lanes = 6
-        # Non-zero inputs: a lane that divides by zero traps, and a trap is
-        # a divergence, not a result to compare.
-        batch = generator.draw_lanes(None, [(None, True)] * lanes)
-        function = generator.function
-        batched = CInterpreter().run(function, batch.call_args)
-        for lane in range(lanes):
-            args = {
-                name: [_lane(v, lane) for v in value] if isinstance(value, list)
-                else _lane(value, lane)
-                for name, value in batch.call_args.items()
-            }
-            scalar = CInterpreter().run(function, args)
-            assert batched.steps == scalar.steps
-            assert _same(_lane(batched.return_value, lane), scalar.return_value)
-            for name, value in scalar.arguments.items():
-                got = batched.arguments[name]
-                if isinstance(value, list):
-                    assert len(got) == len(value)
-                    assert all(_same(_lane(g, lane), v) for g, v in zip(got, value))
-                else:
-                    assert _same(_lane(got, lane), value)
-
-    def test_lane_varying_condition_diverges(self):
-        fn = parse_function(
-            "void f(float x, float *out) { if (x > 0) *out = x; else *out = 0; }"
-        )
-        with pytest.raises(LaneDivergence):
-            CInterpreter().run(fn, {"x": _lanes(1, -1), "out": [_lanes(0, 0)]})
-
-    def test_lane_uniform_condition_runs(self):
-        fn = parse_function(
-            "void f(float x, float *out) { if (x > 0) *out = x; else *out = 0; }"
-        )
-        result = CInterpreter().run(fn, {"x": _lanes(1, 2), "out": [_lanes(0, 0)]})
-        assert list(result.array("out")[0]) == [1, 2]
-
-    def test_lane_varying_subscript_diverges(self):
-        fn = parse_function("void f(int k, float *a, float *out) { *out = a[k]; }")
-        with pytest.raises(LaneDivergence):
-            CInterpreter().run(
-                fn, {"k": _lanes(0, 1), "a": [_lanes(5, 5), _lanes(6, 6)], "out": [0]}
-            )
-
-    def test_zero_divisor_in_one_lane_diverges(self):
-        fn = parse_function("void f(float a, float b, float *out) { *out = a / b; }")
-        with pytest.raises(LaneDivergence):
-            CInterpreter().run(fn, {"a": _lanes(1, 1), "b": _lanes(2, 0), "out": [0]})
-        # A scalar run still reports the trap itself.
-        with pytest.raises(CRuntimeError):
-            CInterpreter().run(fn, {"a": 1, "b": 0, "out": [0]})
-
-    def test_int_division_and_int_stores_truncate_per_lane(self):
-        fn = parse_function(
-            "void f(int a, int b, float x, int *out) {"
-            " int q = a / b; out[0] = q; out[1] = a % b; out[2] = (int) x;"
-            " out[3] = a / b; }"
-        )
-        a, b = _lanes(-7, 7, 5, -9), _lanes(2, 2, -3, -4)
-        x = _lanes(Fraction(7, 2), Fraction(1, 3), 4, Fraction(9, 4))
-        result = CInterpreter().run(fn, {"a": a, "b": b, "x": x, "out": [0] * 4})
-        quotient, remainder, stored, direct = result.array("out")
-        assert list(quotient) == [-3, 3, -1, 2]
-        assert list(remainder) == [-1, 1, 2, -1]
-        assert list(stored) == [3, 0, 4, 2]
-        assert all(_same(got, want) for got, want in zip(direct, [-3, 3, -1, 2]))
-        for lane in range(4):
-            scalar = CInterpreter().run(
-                fn, {"a": a[lane], "b": b[lane], "x": x[lane], "out": [0] * 4}
-            )
-            assert all(
-                _same(got[lane], want)
-                for got, want in zip(result.array("out"), scalar.array("out"))
-            )
+        task = get_benchmark(kernel).task()
+        generator = IOExampleGenerator(task, seed=3)
+        sizes = {name: 2 for name in task.spec.sizes}
+        run = generator.run_symbolic(sizes)
+        rng = random.Random(3)
+        checked = 0
+        while checked < 4:
+            point = {ident: rng.randint(-3, 3) for ident in range(len(run.variables))}
+            # A point on a divisor's zero set traps; it is outside the run's claim.
+            if any(not _value_at(Poly(dict(d)), point) for d in run.divisors):
+                continue
+            scalar = generator.generate_one(sizes, values=run.values(point))
+            want = np.asarray(scalar.output, dtype=object).reshape(-1)
+            got = np.asarray(run.output, dtype=object).reshape(-1)
+            assert len(got) == len(want)
+            assert all(_value_at(g, point) == w for g, w in zip(got, want))
+            checked += 1

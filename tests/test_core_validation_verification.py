@@ -154,7 +154,7 @@ class TestVerifier:
         verifier = BoundedEquivalenceChecker(
             task, config=VerifierConfig(size_bound=2, value_set=(-1, 0, 1), exhaustive_cap=100)
         )
-        result = verifier.check_lanes(parse_program("out(i) = 0 - x(i)"))
+        result = verifier.check_bounded(parse_program("out(i) = 0 - x(i)"))
         assert result.equivalent
         assert result.exhaustive
         assert result.checks_run == 9
@@ -173,6 +173,6 @@ class TestVerifier:
         verifier = BoundedEquivalenceChecker(
             task, config=VerifierConfig(size_bound=2, sampled_checks=6, exhaustive_cap=10)
         )
-        result = verifier.check_lanes(parse_program("out(i) = x(i) / s"))
+        result = verifier.check_bounded(parse_program("out(i) = x(i) / s"))
         assert result.equivalent
         assert result.checks_run > 0

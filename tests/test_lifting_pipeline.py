@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import main
 from repro.core import StaggSynthesizer
 from repro.core.synthesizer import synthesis_invocations
 from repro.lifting import (
@@ -76,14 +77,21 @@ class TestObserverEvents:
         assert accepted[-1].attrs["sizes"] == [1, 2, 3]
         assert accepted[-1].attrs["checks"] == 0
 
-    def test_accepted_event_reports_the_bounded_check_fallback(self):
-        observer = RecordingObserver()
-        report = _synthesizer().lift(_task("dsp.normalize"), observer=observer)
-        assert report.success
-        accepted = [e for e in observer.events if e.name == "candidate_accepted"]
-        assert accepted[-1].attrs["proved"] is False
-        assert accepted[-1].attrs["sizes"] == []
-        assert accepted[-1].attrs["checks"] > 0
+    def test_accepted_event_reports_the_bounded_check_fallback(self, tmp_path, capsys):
+        # A value-dependent branch cannot run symbolically, so the lift of
+        # this raw C file is accepted by the bounded check, not a proof.
+        kernel = tmp_path / "branchy.c"
+        kernel.write_text(
+            "void branchy(int n, float *x, float *out) {\n"
+            "    for (int i = 0; i < n; i++) {\n"
+            "        if (x[i] > 0) out[i] = x[i] * 2; else out[i] = x[i] + x[i];\n"
+            "    }\n"
+            "}\n"
+        )
+        assert main(["lift", str(kernel), "--reference", "a(i) = b(i) * 2", "-v"]) == 0
+        out = capsys.readouterr().out
+        assert "accepted: a(i) = 2 * x(i) (bounded check, 25 inputs)" in out
+        assert "branchy: ok" in out
 
     def test_broken_observer_never_breaks_the_lift(self):
         class Broken(RecordingObserver):

@@ -103,7 +103,7 @@ class TestExactMode:
         assert list(out) == [Fraction(5)] * 3
 
 
-class TestLaneEvaluation:
+class TestSymbolicEvaluation:
     @pytest.mark.parametrize(
         "source, shapes, output_shape",
         [
@@ -114,27 +114,45 @@ class TestLaneEvaluation:
             ("a(i) = 5", {}, (2,)),
         ],
     )
-    def test_lanes_equal_per_lane_evaluations(self, source, shapes, output_shape):
+    def test_symbolic_evaluation_equals_pointwise_evaluations(
+        self, source, shapes, output_shape
+    ):
+        from repro.core.poly import Poly, Quotient
         from repro.taco import parse_program
 
-        lanes = 4
-        rng = np.random.default_rng(7)
-        stacked = {}
-        for name, shape in shapes.items():
-            values = [Fraction(int(v)) for v in rng.integers(1, 6, size=(lanes,) + shape).flat]
-            stacked[name] = np.array(values, dtype=object).reshape((lanes,) + shape)
+        def at(value, point):
+            if isinstance(value, Quotient):
+                return at(value.numerator, point) / at(value.denominator, point)
+            if isinstance(value, Poly):
+                return value.evaluate(point)
+            return Fraction(value)
+
         program = parse_program(source)
         evaluator = TacoEvaluator(mode="exact")
-        batched = evaluator.evaluate_lanes(program, stacked, lanes, output_shape)
-        assert batched.shape == (lanes,) + output_shape
-        for lane in range(lanes):
-            alone = evaluator.evaluate(
-                program,
-                {name: value[lane, ...] for name, value in stacked.items()},
-                output_shape=output_shape,
+        variables, symbolic = 0, {}
+        for name, shape in shapes.items():
+            count = int(np.prod(shape, dtype=int))
+            elements = np.empty(count, dtype=object)
+            elements[:] = [Poly.variable(variables + k) for k in range(count)]
+            symbolic[name] = elements.reshape(shape) if shape else elements[0]
+            variables += count
+        got = np.asarray(
+            evaluator.evaluate(program, symbolic, output_shape=output_shape), dtype=object
+        )
+        assert got.shape == output_shape
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            point = {k: int(v) for k, v in enumerate(rng.integers(1, 6, size=variables))}
+            concrete, offset = {}, 0
+            for name, shape in shapes.items():
+                count = int(np.prod(shape, dtype=int))
+                values = [Fraction(point[offset + k]) for k in range(count)]
+                concrete[name] = np.array(values, dtype=object).reshape(shape)
+                offset += count
+            want = np.asarray(
+                evaluator.evaluate(program, concrete, output_shape=output_shape), dtype=object
             )
-            assert np.array_equal(np.asarray(alone, dtype=object), batched[lane, ...])
-        assert "<lane>" not in str(program)
+            assert [at(g, point) for g in got.reshape(-1)] == list(want.reshape(-1))
 
 
 class TestErrorHandling:

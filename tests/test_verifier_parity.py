@@ -1,4 +1,4 @@
-"""Verifier parity: the bounded lane check repeats a recorded trajectory exactly.
+"""Verifier parity: the bounded check repeats a recorded trajectory exactly.
 
 The fixture ``verifier_parity.json`` lists, per corpus kernel, every concrete
 program that :meth:`BoundedEquivalenceChecker.verify` receives during a
@@ -6,15 +6,15 @@ STAGG_TD and a STAGG_BU lift of that kernel (first-seen order, duplicates
 dropped), followed by one mutant of each (the first ``*`` turned into ``+``,
 else the first ``+`` into ``-``).  For both verifier bounds — the
 evaluation's 729/24 and ``VerifierConfig()``'s 4096/64 — one checker per
-kernel lane-checks (:meth:`~BoundedEquivalenceChecker.check_lanes`) every
-listed program twice, in order, and the fixture pins each call's
+kernel bounded-checks (:meth:`~BoundedEquivalenceChecker.check_bounded`)
+every listed program twice, in order, and the fixture pins each call's
 ``equivalent``, ``checks_run`` and ``exhaustive``, a SHA-256 of the
 counterexample's inputs and output, and a SHA-256 of the example generator's
 RNG state after the call.  The RNG hash makes the order in which sampled
 inputs are drawn part of the contract: a later check on the same checker
 must see the same samples.  ``verify`` itself, which proves equivalence by
-polynomial identity where it can, must reach the recorded verdict on every
-call.
+the identity of rational functions where it can, must reach the recorded
+verdict on every call.
 
 To re-record the fixture after an intended change of behaviour::
 
@@ -98,7 +98,7 @@ def _counterexample_hash(example):
 def _verify_all(programs, bound):
     """``{kernel: [[program, call, call], ...]}`` for *programs* at *bound*.
 
-    Each call is a :meth:`check_lanes`, the lane path the fixture pins.
+    Each call is a :meth:`check_bounded`, the path the fixture pins.
     """
     from repro.core.verifier import BoundedEquivalenceChecker, VerifierConfig
     from repro.suite import get_benchmark
@@ -114,7 +114,7 @@ def _verify_all(programs, bound):
             program = parse_program(source)
             row = [source]
             for _ in range(2):
-                result = checker.check_lanes(program)
+                result = checker.check_bounded(program)
                 row.append([
                     result.equivalent,
                     result.checks_run,
