@@ -21,8 +21,9 @@ from repro.evaluation.perf import (
 #: Two kernels are enough for the smoke: one elementwise, one reduction.
 SMOKE_KERNELS = ("blend.add_pixels", "darknet.forward_connected")
 
-#: Reduced portfolio set: one kernel per "only this member wins" side, so
-#: the smoke still exercises a real race without the full set's timeouts.
+#: Reduced portfolio set, chosen as one kernel per "only this member wins"
+#: side.  STAGG_TD now solves both in milliseconds, and STAGG_BU.FullGrammar
+#: solves rmsnorm_scale only; the smoke still exercises a real race.
 SMOKE_PORTFOLIO_KERNELS = ("llama.rmsnorm_scale", "blend.weighted_sum")
 
 

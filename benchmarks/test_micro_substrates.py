@@ -81,7 +81,7 @@ def test_grammar_construction_and_learning(benchmark):
     templates = templatize_all([parse_program(c) for c in candidates])
 
     def build():
-        grammar = topdown_template_grammar((1, 2, 1), 2, templates)
+        grammar = topdown_template_grammar((1, 2, 1), 2, templates, constants=())
         return learn_pcfg(grammar, templates, style="topdown")
 
     benchmark(build)

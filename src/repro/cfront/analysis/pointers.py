@@ -13,6 +13,12 @@ every pointer-valued variable:
    that site.  The maximum enclosing-loop depth of an advancement site is the
    recovered dimensionality of the walk, which feeds the LHS dimension
    prediction of Section 4.2.3.
+
+A loop that also encloses a (re)initialisation of the alias restarts the
+walk on every iteration, so it does not add a dimension unless the initial
+value depends on that loop's variable: ``float *px = &vec[0];`` inside the
+``i`` loop and ``px++`` inside the ``j`` loop walk ``vec`` in one dimension,
+while ``float *p = &A[i*n];`` there walks ``A`` in two.
 """
 
 from __future__ import annotations
@@ -52,6 +58,9 @@ class PointerAnalysis:
     pointer_variables: Set[str] = field(default_factory=set)
     aliases: Dict[str, str] = field(default_factory=dict)
     advancement_sites: List[AdvancementSite] = field(default_factory=list)
+    #: Per alias, the loop variables that restart its walk: they enclose a
+    #: (re)initialisation whose value does not mention them.
+    restarting_loops: Dict[str, Set[str]] = field(default_factory=dict)
 
     def resolve(self, name: str) -> str:
         """Follow alias links from *name* to the parameter array it denotes.
@@ -132,15 +141,26 @@ def analyze_pointers(function: FunctionDef, loops: Optional[LoopNest] = None) ->
                 if decl.pointer_depth > 0 or decl.array_sizes:
                     analysis.pointer_variables.add(decl.name)
 
+    def record_alias(name: str, value: Expr, enclosing: Tuple[str, ...]) -> None:
+        target = _alias_target(value)
+        if target is None or target == name:
+            return
+        analysis.aliases[name] = target
+        mentioned = {
+            node.name for node in walk_expressions(value) if isinstance(node, Identifier)
+        }
+        analysis.restarting_loops.setdefault(name, set()).update(
+            variable for variable in enclosing if variable not in mentioned
+        )
+
     # Alias chains: declarations with initialisers and plain assignments.
     for stmt in walk_statements(function):
+        enclosing = nest.variables_enclosing(stmt)
         if isinstance(stmt, Declaration):
             for decl in stmt.declarators:
                 if decl.init is None or decl.name not in analysis.pointer_variables:
                     continue
-                target = _alias_target(decl.init)
-                if target is not None and target != decl.name:
-                    analysis.aliases[decl.name] = target
+                record_alias(decl.name, decl.init, enclosing)
         for top in statement_expressions(stmt):
             for expr in walk_expressions(top):
                 if not isinstance(expr, Assignment) or expr.op != "=":
@@ -157,20 +177,23 @@ def analyze_pointers(function: FunctionDef, loops: Optional[LoopNest] = None) ->
                         analysis.pointer_variables.add(name)
                     else:
                         continue
-                target = _alias_target(expr.value)
-                if target is not None and target != name:
-                    analysis.aliases[name] = target
+                record_alias(name, expr.value, enclosing)
 
     # Advancement sites: pointer increments / compound advances, recorded with
-    # the loop variables of the *statement* that contains them.
+    # the loop variables of the *statement* that contains them, less the
+    # loops that restart the pointer's walk.
     for stmt in walk_statements(function):
         enclosing = nest.variables_enclosing(stmt)
         for top in statement_expressions(stmt):
             for expr in walk_expressions(top):
                 pointer_name = _advanced_pointer(expr, analysis.pointer_variables)
                 if pointer_name is not None:
+                    restarting = analysis.restarting_loops.get(pointer_name, ())
                     analysis.advancement_sites.append(
-                        AdvancementSite(pointer_name, enclosing)
+                        AdvancementSite(
+                            pointer_name,
+                            tuple(v for v in enclosing if v not in restarting),
+                        )
                     )
     return analysis
 

@@ -11,6 +11,18 @@ variables contribute 0).  STAGG predicts it by combining two sources:
 * **The LHS rank** comes from static analysis of the C program (array
   recovery + delinearization), which is exact, and overrides the first entry
   of the voted list.
+
+One departure from Section 4.2.3, which takes the RHS ranks from the vote
+alone: when the voted list has fewer RHS slots than the kernel has input
+tensor arguments (``ArgumentKind.TENSOR``), the vote cannot name every
+array the kernel reads, so the missing slots are filled from the static
+argument ranks (:func:`~repro.cfront.analysis.predict_dimensions`) — the
+static ranks of the input tensors that the voted RHS ranks do not already
+cover, as a multiset difference in argument order.  The rule only appends
+slots; it never changes or drops a voted one.  On ``blend.screen_rows``,
+which reads two rank-2 arrays, the vote ``(2, 2)`` becomes ``(2, 2, 2)``; a
+tensor read twice (``a = b(i) * b(i)``) already has its slots and keeps the
+voted list.
 """
 
 from __future__ import annotations
@@ -20,7 +32,12 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..cfront.ast import FunctionDef
-from ..cfront.analysis import predict_output_rank
+from ..cfront.analysis import (
+    SignatureInfo,
+    analyze_signature,
+    predict_dimensions,
+    predict_output_rank,
+)
 from .templates import Template
 
 #: A dimension list, e.g. ``(1, 2, 1)`` for ``a(i) = b(i,j) * c(j)``.
@@ -81,7 +98,7 @@ def vote_dimension_list(templates: Sequence[Template]) -> DimensionList:
 def predict_dimension_list(
     templates: Sequence[Template],
     function: Optional[FunctionDef] = None,
-    static_lhs_rank: Optional[int] = None,
+    signature: Optional[SignatureInfo] = None,
 ) -> DimensionPredictionResult:
     """Predict the dimension list for a lifting task.
 
@@ -90,29 +107,48 @@ def predict_dimension_list(
     templates:
         The templatized LLM candidates.
     function:
-        The parsed C kernel; used to predict the LHS rank by static analysis.
-        May be omitted when *static_lhs_rank* is given directly.
-    static_lhs_rank:
-        An already-computed LHS rank (overrides *function*).
+        The parsed C kernel; used to predict the LHS rank by static analysis
+        and to fill RHS slots the vote missed.  Without it the vote decides.
+    signature:
+        The kernel's analysed signature, when the caller already has it.
     """
     voted = vote_dimension_list(templates)
-    lhs_rank: Optional[int] = static_lhs_rank
-    if lhs_rank is None and function is not None:
-        lhs_rank = predict_output_rank(function)
     final: List[int] = list(voted)
-    if not final:
-        final = [0, 0]
-    if lhs_rank is not None:
-        if final:
-            final[0] = lhs_rank
-        else:
-            final = [lhs_rank, 0]
+    lhs_rank: Optional[int] = None
+    if function is not None:
+        signature = signature or analyze_signature(function)
+        lhs_rank = predict_output_rank(function, signature)
+        final[0] = lhs_rank
+        final.extend(_missing_input_ranks(function, signature, final[1:]))
     return DimensionPredictionResult(
         dimension_list=tuple(final),
         voted_list=voted,
         static_lhs_rank=lhs_rank,
         candidate_lists=tuple(t.dimension_list() for t in templates),
     )
+
+
+def _missing_input_ranks(
+    function: FunctionDef, signature: SignatureInfo, rhs: Sequence[int]
+) -> List[int]:
+    """Static ranks of the input tensors that the RHS ranks *rhs* miss.
+
+    Empty unless *rhs* has fewer slots than the kernel has input tensor
+    arguments; the static ranks are computed only then.
+    """
+    tensors = signature.tensors()
+    if len(rhs) >= len(tensors):
+        return []
+    ranks = predict_dimensions(function).argument_ranks
+    uncovered = Counter(rhs)
+    missing: List[int] = []
+    for name in tensors:
+        rank = ranks[name]
+        if uncovered[rank]:
+            uncovered[rank] -= 1
+        else:
+            missing.append(rank)
+    return missing
 
 
 def num_unique_indices(templates: Sequence[Template]) -> int:

@@ -14,8 +14,19 @@ sentences are exactly the templates worth enumerating:
   with epsilon productions, so that every intermediate sentential form can be
   truncated into a complete (checkable) template.
 
+Both refined grammars offer the ``Const`` placeholder only when the
+validator can bind it.  Section 4.2.4 offers ``Const`` at every rank-0
+position, but the validator (Section 6) instantiates ``Const`` only from the
+literals found in the C source (``harvest_constants``); with none harvested,
+every template holding a ``Const`` is rejected before any substitution is
+tried.  The grammar builders therefore take the kernel's constant pool, and
+an empty pool drops ``Const`` from the grammar.  On ``darknet.axpy_cpu``
+(``ALPHA`` is a rank-0 scalar, the source has no literal) this takes the
+winning template from attempt 1,119 to attempt 5.
+
 The ``FullGrammar`` and ``LLMGrammar`` ablations of the evaluation use the
-*unrefined* grammar built by :func:`full_template_grammar`.
+*unrefined* grammar built by :func:`full_template_grammar`, which keeps the
+paper's unconditional ``Const``.
 """
 
 from __future__ import annotations
@@ -93,8 +104,21 @@ def _repeated_index_accesses(templates: Sequence[Template]) -> Set[Tuple[int, Tu
     return repeated
 
 
-def _templates_have_constant(templates: Sequence[Template]) -> bool:
-    return any(template.has_constant() for template in templates)
+def _include_constant(
+    positions: Sequence[Tuple[str, int]],
+    templates: Sequence[Template],
+    constants: Sequence[object],
+) -> bool:
+    """Whether a refined grammar offers ``Const``.
+
+    Section 4.2.4 offers it when a candidate used a constant or a position
+    has rank 0.  *constants* is the validator's constant pool: when it is
+    empty, no ``Const`` could ever be instantiated, so none is offered.
+    """
+    return bool(constants) and (
+        any(template.has_constant() for template in templates)
+        or any(rank == 0 for _, rank in positions)
+    )
 
 
 def rhs_positions(dimension_list: DimensionList) -> List[Tuple[str, int]]:
@@ -115,14 +139,18 @@ def topdown_template_grammar(
     dimension_list: DimensionList,
     num_indices: int,
     templates: Sequence[Template] = (),
+    *,
+    constants: Sequence[object],
 ) -> ContextFreeGrammar:
-    """Build the refined top-down template grammar for ``L`` and ``i(T)``."""
+    """Build the refined top-down template grammar for ``L`` and ``i(T)``.
+
+    *constants* is the validator's constant pool (see
+    :func:`_include_constant`).
+    """
     index_pool = _index_pool(dimension_list, num_indices)
     repeated = _repeated_index_accesses(templates)
     positions = rhs_positions(dimension_list)
-    include_constant = _templates_have_constant(templates) or any(
-        rank == 0 for _, rank in positions
-    )
+    include_constant = _include_constant(positions, templates, constants)
 
     productions: List[Production] = [
         Production(NT_PROGRAM, (NT_TENSOR1, "=", NT_EXPR)),
@@ -141,9 +169,6 @@ def topdown_template_grammar(
             if token not in seen_tokens:
                 seen_tokens.add(token)
                 productions.append(Production(NT_TENSOR, (token,)))
-        if rank == 0 and include_constant:
-            # Scalar positions may also be instantiated by a constant.
-            pass
     if include_constant:
         productions.append(Production(NT_CONSTANT, (CONST_TOKEN,)))
     return ContextFreeGrammar(NT_PROGRAM, productions)
@@ -165,14 +190,18 @@ def bottomup_template_grammar(
     dimension_list: DimensionList,
     num_indices: int,
     templates: Sequence[Template] = (),
+    *,
+    constants: Sequence[object],
 ) -> ContextFreeGrammar:
-    """Build the refined bottom-up (tail-form) template grammar for ``L``."""
+    """Build the refined bottom-up (tail-form) template grammar for ``L``.
+
+    *constants* is the validator's constant pool (see
+    :func:`_include_constant`).
+    """
     index_pool = _index_pool(dimension_list, num_indices)
     repeated = _repeated_index_accesses(templates)
     positions = rhs_positions(dimension_list)
-    include_constant = _templates_have_constant(templates) or any(
-        rank == 0 for _, rank in positions
-    )
+    include_constant = _include_constant(positions, templates, constants)
 
     productions: List[Production] = [
         Production(NT_PROGRAM, (NT_TENSOR1, "=", NT_EXPR)),

@@ -49,7 +49,7 @@ from ..core.search_bottomup import BottomUpSearch
 from ..core.search_topdown import TopDownSearch
 from ..core.task import LiftingTask
 from ..core.templates import Template, templatize_all
-from ..cfront.analysis import analyze_signature, predict_output_rank
+from ..cfront.analysis import analyze_signature, harvest_constants
 from ..llm.oracle import LiftingQuery, LLMOracle, OracleResponse
 from .budget import Budget
 from .checking import build_check, build_harness
@@ -244,7 +244,13 @@ class TemplatizeStage(Stage):
 
 
 class DimensionStage(Stage):
-    """Stage 3: predict the dimension list (Section 4.2.3)."""
+    """Stage 3: predict the dimension list (Section 4.2.3).
+
+    The static analysis supplies the LHS rank and, when the vote has fewer
+    RHS slots than the kernel has input tensors, the missing slots (see
+    :mod:`repro.core.dimension_list`); ``voted_dimension_list`` keeps the
+    vote as it was.
+    """
 
     name = "dimension"
 
@@ -254,8 +260,7 @@ class DimensionStage(Stage):
     def run(self, pipeline, state, budget, observer) -> None:
         state.ensure_analysis()
         prediction = predict_dimension_list(
-            state.templates,
-            static_lhs_rank=predict_output_rank(state.function, state.signature),
+            state.templates, state.function, signature=state.signature
         )
         state.dimension_list = prediction.dimension_list
         state.voted_dimension_list = prediction.voted_list
@@ -268,7 +273,12 @@ class DimensionStage(Stage):
 
 
 class GrammarStage(Stage):
-    """Stage 4: grammar generation + probability learning (Sections 4.2.4, 4.3)."""
+    """Stage 4: grammar generation + probability learning (Sections 4.2.4, 4.3).
+
+    A refined grammar offers ``Const`` only when the kernel's constant pool
+    (``harvest_constants``, the pool ``build_harness`` gives the validator)
+    is non-empty; see :mod:`repro.core.grammar_gen`.
+    """
 
     name = "grammar"
 
@@ -310,14 +320,18 @@ class GrammarStage(Stage):
         indices = state.num_indices or 0
         style = "topdown" if config.search == "topdown" else "bottomup"
         if config.grammar_mode == "refined":
-            if style == "topdown":
-                grammar = topdown_template_grammar(
-                    dimension_list, indices, state.templates
-                )
-            else:
-                grammar = bottomup_template_grammar(
-                    dimension_list, indices, state.templates
-                )
+            state.ensure_analysis()
+            build = (
+                topdown_template_grammar
+                if style == "topdown"
+                else bottomup_template_grammar
+            )
+            grammar = build(
+                dimension_list,
+                indices,
+                state.templates,
+                constants=harvest_constants(state.function),
+            )
             return grammar, style
         # Unrefined ("full") grammars for the FullGrammar / LLMGrammar ablations.
         lhs_rank = dimension_list[0] if dimension_list else 0

@@ -34,9 +34,12 @@ from ..lifting.descriptor import describe_lifter, describe_oracle  # noqa: F401
 #: when a stored verdict would mean something else today (2: the verifier
 #: proves equivalence by polynomial identity, so a verdict of the sampled
 #: check must not replay; 3: it also proves kernels that divide by an input,
-#: whose stored verdicts came from the sampled check); stored under a
-#: versioned directory so old caches are ignored, not misread.
-STORE_SCHEMA_VERSION = 3
+#: whose stored verdicts came from the sampled check; 4: the refined
+#: grammars offer ``Const`` only with a harvested constant and the dimension
+#: list gains the input-tensor slots the vote missed, so a stored STAGG
+#: outcome, e.g. a ``blend.screen_rows`` failure, must not replay); stored
+#: under a versioned directory so old caches are ignored, not misread.
+STORE_SCHEMA_VERSION = 4
 
 
 def canonical_json(value: object) -> str:

@@ -67,6 +67,23 @@ class TestPointerAnalysis:
         pointers = analyze_pointers(fn)
         assert pointers.advancement_depth("a") == 1
 
+    def test_alias_reinitialised_inside_a_loop_restarts_its_walk(self):
+        # dsp.mat_vec_mult: px restarts at vec[0] on every i iteration.
+        fn = parse_function(
+            "void f(int n, int m, float *vec, float *out) {"
+            " for (int i = 0; i < n; i++) { float *px = &vec[0]; out[i] = 0;"
+            "   for (int j = 0; j < m; j++) out[i] += *px++; } }"
+        )
+        assert analyze_pointers(fn).advancement_depth("vec") == 1
+
+    def test_reinitialisation_from_the_loop_variable_keeps_the_loop(self):
+        fn = parse_function(
+            "void f(int n, int m, float *A, float *out) {"
+            " for (int i = 0; i < n; i++) { float *p = A + i * m; out[i] = 0;"
+            "   for (int j = 0; j < m; j++) out[i] += *p++; } }"
+        )
+        assert analyze_pointers(fn).advancement_depth("A") == 2
+
 
 class TestDelinearization:
     def _index_expr(self, source_index: str):
@@ -176,6 +193,22 @@ class TestDimensionPrediction:
             "   int idx = (i * d1 + j) * d2 + k; out[idx] = T[idx]; } }"
         )
         assert predict_output_rank(fn) == 3
+
+    def test_corpus_ranks_match_the_specs(self):
+        # Every tensor and output rank the static analysis predicts equals
+        # the rank of that array in the kernel's input spec.
+        from repro.suite import all_benchmarks
+
+        misses = []
+        for bench in all_benchmarks():
+            fn = bench.task().parse()
+            ranks = predict_dimensions(fn).argument_ranks
+            for arg in analyze_signature(fn).arguments:
+                if arg.kind in (ArgumentKind.TENSOR, ArgumentKind.OUTPUT):
+                    expected = len(bench.spec.arrays[arg.name])
+                    if ranks[arg.name] != expected:
+                        misses.append((bench.name, arg.name, ranks[arg.name], expected))
+        assert misses == []
 
     def test_pointer_walked_2d_output(self):
         fn = parse_function(

@@ -83,9 +83,14 @@ class TestLiftErrors:
 
     def test_unsolved_lift_exits_2(self, capsys):
         # A static oracle proposing only a scalar constant leaves the
-        # refined grammar unable to express the dot product: no solution.
+        # refined grammar one rank-0 tensor (the kernel reads one array and
+        # has no literal, so no Const either): it cannot express the sum of
+        # squares, and the search ends at its expansion cap unsolved.
         status = main(
-            ["lift", "mathfu.dot", "--candidate", "a = Const", "--timeout", "5"]
+            [
+                "lift", "llama.rmsnorm_sum_squares",
+                "--candidate", "a = Const", "--timeout", "5",
+            ]
         )
         assert status == 2
 

@@ -177,9 +177,9 @@ class TestCostModels:
             [parse_program(s) for s in ("r(i) = m(i,j) * v(j)", "r(i) = m(i,j) * v(j)")]
         )
         if style == "topdown":
-            grammar = topdown_template_grammar((1, 2, 1), 2, templates)
+            grammar = topdown_template_grammar((1, 2, 1), 2, templates, constants=())
         else:
-            grammar = bottomup_template_grammar((1, 2, 1), 2, templates)
+            grammar = bottomup_template_grammar((1, 2, 1), 2, templates, constants=())
         return learn_pcfg(grammar, templates, style=style), templates
 
     def test_topdown_costs_positive_and_monotone(self):

@@ -28,9 +28,9 @@ FAST_VERIFIER = VerifierConfig(size_bound=2, exhaustive_cap=200, sampled_checks=
 def _search_components(candidates, dims, style):
     templates = templatize_all([parse_program(c) for c in candidates])
     if style == "topdown":
-        grammar = topdown_template_grammar(dims, 2, templates)
+        grammar = topdown_template_grammar(dims, 2, templates, constants=())
     else:
-        grammar = bottomup_template_grammar(dims, 2, templates)
+        grammar = bottomup_template_grammar(dims, 2, templates, constants=())
     pcfg = learn_pcfg(grammar, templates, style=style)
     context = PenaltyContext(dims, False, frozenset({"*"}))
     evaluator = (

@@ -114,6 +114,31 @@ class TestDimensionVote:
         assert prediction.dimension_list[0] == 1
         assert prediction.static_lhs_rank == 1
 
+    _MATVEC = (
+        "void f(int n, int m, float *A, float *x, float *out) {"
+        " for (int i = 0; i < n; i++) { out[i] = 0;"
+        "   for (int j = 0; j < m; j++) out[i] += A[i*m+j] * x[j]; } }"
+    )
+
+    def test_static_ranks_fill_missing_rhs_slots(self):
+        # One voted RHS slot for two input tensors: the vote's rank-1 slot
+        # covers x, so only A's static rank 2 is appended.
+        templates = self._templates(["r(i) = v(j)", "r(i) = v(j)"])
+        prediction = predict_dimension_list(templates, parse_function(self._MATVEC))
+        assert prediction.voted_list == (1, 1)
+        assert prediction.dimension_list == (1, 1, 2)
+
+    def test_static_ranks_only_add_slots(self):
+        # As many voted RHS slots as input tensors: the vote stands, even
+        # where its ranks differ from the static ones.
+        templates = self._templates(["r(i) = v(j) * w(j)", "r(i) = v(j) * w(j)"])
+        prediction = predict_dimension_list(templates, parse_function(self._MATVEC))
+        assert prediction.dimension_list == prediction.voted_list == (1, 1, 1)
+
+    def test_without_the_kernel_the_vote_stands(self):
+        templates = self._templates(["r(i) = v(j)", "r(i) = v(j)"])
+        assert predict_dimension_list(templates).dimension_list == (1, 1)
+
     def test_num_unique_indices(self):
         templates = self._templates(["r(i) = m(i,j) * v(j)", "r(i) = t(i,j,k)"])
         assert num_unique_indices(templates) == 3

@@ -21,8 +21,9 @@ from repro.lifting import (
     STAGES,
     resolve_method,
 )
+from repro.cfront.analysis import harvest_constants
 from repro.llm import OracleConfig, StaticOracle, SyntheticOracle
-from repro.suite import get_benchmark
+from repro.suite import all_benchmarks, get_benchmark
 
 
 def _task(name: str = "darknet.copy_cpu"):
@@ -43,11 +44,12 @@ class TestStageTimings:
 
     def test_stage_timings_on_failed_lift(self):
         # A static oracle with one useless candidate: the pipeline runs to
-        # completion but the search cannot solve the task.
+        # completion but the search cannot solve the task (its grammar holds
+        # one rank-0 tensor and no Const; see test_unsolved_lift_exits_2).
         lifter = resolve_method(
-            "STAGG_TD", oracle=StaticOracle(["a(i) = b(i) / b(i)"]), timeout_seconds=5.0
+            "STAGG_TD", oracle=StaticOracle(["a = Const"]), timeout_seconds=5.0
         )
-        report = lifter.lift(_task("mathfu.dot"))
+        report = lifter.lift(_task("llama.rmsnorm_sum_squares"))
         assert not report.success
         assert sorted(report.details["stage_timings"]) == sorted(STAGE_NAMES)
 
@@ -319,3 +321,49 @@ class TestGrammarAblationsStillDiffer:
         report = resolve_method(name, timeout_seconds=20.0).lift(_task())
         assert report.details["stage_timings"]["grammar"] >= 0.0
         assert report.details.get("grammar_size", 0) > 0
+
+
+def _has_const(grammar) -> bool:
+    return any("Const" in str(p.rhs) for p in grammar.productions)
+
+
+class TestStaticGrammarEvidence:
+    """The C front end's facts shape the refined grammar (both rules)."""
+
+    @pytest.mark.parametrize("method", ["STAGG_TD", "STAGG_BU"])
+    def test_const_only_with_a_harvested_literal(self, method):
+        # axpy_cpu has a rank-0 scalar (ALPHA) but no literal; halve has 2.
+        for name, harvested in (("darknet.axpy_cpu", False), ("mathfu.halve", True)):
+            state = PipelineState(task=_task(name))
+            report = resolve_method(method, timeout_seconds=20.0).lift_from_state(state)
+            assert report.success
+            assert bool(harvest_constants(state.function)) is harvested
+            assert _has_const(state.grammar) is harvested
+
+    def test_unrefined_grammar_keeps_const(self):
+        state = PipelineState(task=_task("darknet.axpy_cpu"))
+        resolve_method("STAGG_BU.FullGrammar", timeout_seconds=20.0).lift_from_state(state)
+        assert _has_const(state.grammar)
+
+    def test_dimension_rule_fills_the_slot_the_vote_missed(self):
+        # screen_rows reads two rank-2 arrays; the vote names one.
+        report = _synthesizer().lift(_task("blend.screen_rows"))
+        assert report.success
+        assert report.details["voted_dimension_list"] == (2, 2)
+        assert report.dimension_list == (2, 2, 2)
+
+    def test_dimension_rule_only_adds_slots_and_fires_only_on_screen_rows(self):
+        synthesizer = _synthesizer()
+        fired = []
+        for bench in all_benchmarks():
+            state = synthesizer.prepare_state(bench.task())
+            voted, final = state.voted_dimension_list, state.dimension_list
+            assert final[1 : len(voted)] == voted[1:]
+            if len(final) != len(voted):
+                fired.append(bench.name)
+        assert fired == ["blend.screen_rows"]
+
+    def test_a_tensor_read_twice_keeps_the_vote(self):
+        # a = b(i) * b(i): one input tensor, one voted RHS slot.
+        state = _synthesizer().prepare_state(_task("llama.rmsnorm_sum_squares"))
+        assert state.dimension_list == state.voted_dimension_list == (0, 1)

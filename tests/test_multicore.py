@@ -57,6 +57,16 @@ BOTH_SOLVE = ["darknet.copy_cpu", "blend.add_pixels", "simpl_array.sum_three"]
 
 
 class TestDeterminism:
+    def test_only_stagg_td_solves_the_strict_kernel(self):
+        # The premise of STRICT_KERNEL, pinned because the refined grammars
+        # read static evidence (harvested literals, input-tensor ranks) that
+        # changes which kernels each search solves.
+        for method, solves in (("STAGG_TD", True), ("STAGG_BU", False)):
+            report = resolve_method(
+                method, timeout_seconds=30.0, oracle_seed=2025
+            ).lift(_task(STRICT_KERNEL))
+            assert report.success is solves, method
+
     def test_portfolio_program_matches_threads(self):
         threaded = _lift(PORTFOLIO, "threads", STRICT_KERNEL)
         processed = _lift(PORTFOLIO, "processes", STRICT_KERNEL)

@@ -9,12 +9,13 @@ from repro.suite import all_benchmarks
 
 
 def _methods():
-    # darknet.axpy_cpu, the slowest kernel of the slice, solves under
-    # STAGG_TD in ~3s on a 2-core x86 host.  The 20s budget leaves room for
-    # load, so every slice kernel's outcome stays deterministic.
+    # Every lift of the slice takes under 0.1s on a 2-core x86 host (the
+    # slowest, C2TACO on simpl_array.sum_three, ~0.06s).  The 5s budget
+    # leaves room for load, so every slice kernel's outcome stays
+    # deterministic.
     return standard_methods(
         oracle=SyntheticOracle(OracleConfig()),
-        timeout_seconds=20.0,
+        timeout_seconds=5.0,
         include=["STAGG_TD", "C2TACO"],
     )
 

@@ -30,9 +30,13 @@ def _lift(benchmark, style, prune):
 
 
 class TestVisitedFormPruning:
-    @pytest.mark.parametrize("name", ["blend.weighted_sum", "darknet.axpy_cpu"])
+    @pytest.mark.parametrize("name", ["blend.weighted_sum", "darknet.copy_cpu"])
     def test_topdown_node_counts_strictly_drop_outcomes_unchanged(self, name):
-        """Multi-operand kernels search long enough to generate duplicates."""
+        """Searches that check several templates generate duplicates.
+
+        ``darknet.copy_cpu`` checks the most templates of any top-down corpus
+        lift (28; 380 nodes pruned, 423 unpruned).
+        """
         by_name = {b.name: b for b in all_benchmarks()}
         bench = by_name[name]
         pruned = _lift(bench, "topdown", prune=True)
@@ -146,7 +150,7 @@ class TestSententialFormExpansion:
         )
         templates = templatize_all(response.candidates)
         dimension_list = (1, 1, 1, 1)
-        return topdown_template_grammar(dimension_list, 1, templates)
+        return topdown_template_grammar(dimension_list, 1, templates, constants=())
 
     def test_expansion_matches_grammar_and_derivation_replay(self):
         """Spliced symbols, position and levels equal the references, everywhere."""

@@ -234,9 +234,15 @@ class TestServiceExecution:
         assert stages and all(stage.startswith("portfolio:") for stage in stages)
 
     def test_cancel_running_process_portfolio(self, tmp_path, race_spy):
-        # Neither member lifts screen_rows, and STAGG_TD needs seconds to
-        # exhaust its search, so the race is still running when cancelled.
-        request = LiftRequest(benchmark="blend.screen_rows", method=PORTFOLIO, timeout=120.0)
+        # Neither member lifts rmsnorm_sum_squares from this candidate, and
+        # STAGG_TD needs over a second to exhaust its search, so the race is
+        # still running when cancelled.
+        request = LiftRequest(
+            benchmark="llama.rmsnorm_sum_squares",
+            candidates=("a = Const",),
+            method=PORTFOLIO,
+            timeout=120.0,
+        )
         with LiftingService(cache_dir=tmp_path, execution=PROCESSES) as service:
             job = service.submit(request)
             race_spy.submitted(job)
