@@ -7,8 +7,7 @@ the evaluation runner, the method registry and the lifting service treat all
 methods uniformly.  The per-task machinery (I/O examples, validator,
 bounded verifier) and the validate-then-verify acceptance check come from
 :mod:`repro.lifting.checking`, the same helpers the STAGG pipeline uses, so
-the baselines share STAGG's validator configuration surface — including the
-``tiered=`` two-tier validation switch.
+the baselines share STAGG's validator configuration surface.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ class BaselineLifter(abc.ABC):
         verifier_config: Optional[VerifierConfig] = None,
         seed: int = 7,
         timeout_seconds: Optional[float] = None,
-        tiered: bool = True,
     ) -> None:
         self._num_io_examples = num_io_examples
         # None-sentinel construction: a `VerifierConfig()` default in the
@@ -61,7 +59,6 @@ class BaselineLifter(abc.ABC):
         )
         self._seed = seed
         self._timeout_seconds = timeout_seconds
-        self._tiered = tiered
 
     # ------------------------------------------------------------------ #
     # Public API (the repro.lifting.Lifter protocol)
@@ -118,7 +115,6 @@ class BaselineLifter(abc.ABC):
             num_io_examples=self._num_io_examples,
             seed=self._seed,
             verifier_config=self._verifier_config,
-            tiered=self._tiered,
         )
         return TaskContext(
             task=task,

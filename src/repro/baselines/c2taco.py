@@ -62,9 +62,8 @@ class C2TacoLifter(BaselineLifter):
         timeout_seconds: Optional[float] = None,
         max_operands: int = 4,
         max_candidates: int = MAX_CANDIDATES,
-        tiered: bool = True,
     ) -> None:
-        super().__init__(num_io_examples, verifier_config, seed, timeout_seconds, tiered)
+        super().__init__(num_io_examples, verifier_config, seed, timeout_seconds)
         self._use_heuristics = use_heuristics
         self._max_operands = max_operands
         self._max_candidates = max_candidates

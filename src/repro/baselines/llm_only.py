@@ -31,16 +31,9 @@ class LLMOnlyLifter(BaselineLifter):
         verifier_config: Optional[VerifierConfig] = None,
         seed: int = 7,
         timeout_seconds: Optional[float] = None,
-        tiered: bool = True,
-        execution: Optional[object] = None,
     ) -> None:
-        super().__init__(num_io_examples, verifier_config, seed, timeout_seconds, tiered)
+        super().__init__(num_io_examples, verifier_config, seed, timeout_seconds)
         self._oracle = oracle
-        # Shard-level validation parallelism: under a process backend the
-        # candidate stream is partitioned over the pool (see
-        # repro.evaluation.runner.validate_stream).  Digest-excluded — the
-        # generic descriptor path strips ``_execution``.
-        self._execution = execution
 
     def _lift_with_context(
         self,
@@ -62,14 +55,6 @@ class LLMOnlyLifter(BaselineLifter):
         # symbolic variables, which lets the same validator search for the
         # correct binding of tensors to the C function's arguments.
         templates = deduplicate(templatize_all(response.candidates))
-        execution = self._execution
-        if (
-            execution is not None
-            and getattr(execution, "uses_processes", False)
-            and len(templates) > 1
-        ):
-            self._lift_sharded(task, context, report, started, templates, execution)
-            return
         for template in templates:
             if self._out_of_time(started, context.budget):
                 report.timed_out = True
@@ -81,54 +66,3 @@ class LLMOnlyLifter(BaselineLifter):
                 report.template = template.program
                 report.lifted_program = validation.concrete_program
                 return
-
-    def _lift_sharded(
-        self, task, context, report, started, templates, execution
-    ) -> None:
-        """First-accept over the candidate stream, sharded across processes.
-
-        Each worker rebuilds the (config-derived) validation harness itself;
-        only the task and candidate programs cross the process boundary.
-        The accepted candidate is the globally lowest-index hit — the same
-        candidate the sequential scan above commits to — and attempts match
-        the sequential count, so thread- and process-backed runs report
-        identically for in-budget queries.
-        """
-        # Imported lazily: the evaluation package imports the lifting
-        # registry, which builds baselines — resolve at call time.
-        from ..evaluation.runner import validate_stream
-
-        remaining = self._remaining_window(started, context.budget)
-        hit, attempts, timed_out = validate_stream(
-            task,
-            [template.program for template in templates],
-            execution=execution,
-            num_io_examples=self._num_io_examples,
-            seed=self._seed,
-            verifier_config=self._verifier_config,
-            tiered=self._tiered,
-            timeout_seconds=remaining,
-        )
-        report.attempts += attempts
-        if hit is not None:
-            index, concrete = hit
-            report.success = True
-            report.template = templates[index].program
-            report.lifted_program = concrete
-        elif timed_out:
-            report.timed_out = True
-
-    def _remaining_window(self, started: float, budget) -> Optional[float]:
-        """The tighter of the method timeout and the invocation budget."""
-        import time
-
-        bounds = []
-        if self._timeout_seconds is not None:
-            bounds.append(
-                max(0.0, self._timeout_seconds - (time.monotonic() - started))
-            )
-        if budget is not None:
-            remaining = budget.remaining()
-            if remaining is not None:
-                bounds.append(remaining)
-        return min(bounds) if bounds else None

@@ -19,12 +19,11 @@ no more, so its coverage lands close to the 78% reported in Figure 10.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from ..cfront.analysis import analyze_signature, harvest_constants, predict_dimensions
 from ..core.result import SynthesisReport
 from ..core.task import LiftingTask
-from ..core.verifier import VerifierConfig
 from ..taco import TacoProgram, parse_program
 from ..taco.errors import TacoError
 from .base import BaselineLifter, TaskContext
@@ -60,16 +59,6 @@ class TenspilerLifter(BaselineLifter):
     """Verified-lifting baseline over a fixed operator-template library."""
 
     label = "Tenspiler"
-
-    def __init__(
-        self,
-        num_io_examples: int = 3,
-        verifier_config: Optional[VerifierConfig] = None,
-        seed: int = 7,
-        timeout_seconds: Optional[float] = None,
-        tiered: bool = True,
-    ) -> None:
-        super().__init__(num_io_examples, verifier_config, seed, timeout_seconds, tiered)
 
     # ------------------------------------------------------------------ #
     # Lifting

@@ -672,7 +672,7 @@ def _cmd_methods(args: argparse.Namespace) -> int:
                 "name": name,
                 "kind": method_spec(name).kind,
                 "label": _method_label(name),
-                "supports_processes": method_spec(name).supports_processes,
+                "supports_processes": method_spec(name).kind == "portfolio",
             }
             for name in names
         ]

@@ -52,10 +52,6 @@ class StaggConfig:
     penalties: PenaltyConfig = field(default_factory=PenaltyConfig)
     #: Number of I/O examples generated for validation.
     num_io_examples: int = 3
-    #: Two-tier validation: float64-screen each substitution on one example
-    #: before the exact Fraction confirmation.  Outcome-preserving; disable
-    #: only to measure or to fall back to exact-only validation.
-    tiered_validation: bool = True
     #: Search resource limits.
     limits: SearchLimits = field(default_factory=SearchLimits)
     #: Bounded-verification configuration.
@@ -71,14 +67,8 @@ class StaggConfig:
     #: Result-store root whose similarity index seeds this lift (None
     #: disarms retrieval entirely).  Observational guidance: seeded
     #: answers pass the same validate-then-verify acceptance as searched
-    #: ones, so all three retrieval knobs are digest-excluded.
+    #: ones, so the knob is digest-excluded.
     retrieval_cache_dir: Optional[str] = None
-    #: Nearest solved kernels retrieved per lift (tier-0 candidates).
-    retrieval_k: int = 3
-    #: How many times each neighbor template is counted into the learned
-    #: pCFG weights on a tier-0 miss (1 = same weight as one oracle
-    #: candidate).
-    retrieval_seed_boost: int = 3
 
     def __post_init__(self) -> None:
         if self.search not in SEARCH_STYLES:
@@ -91,12 +81,6 @@ class StaggConfig:
             raise ValueError(
                 f"probability_mode must be one of {PROBABILITY_MODES}, "
                 f"got {self.probability_mode!r}"
-            )
-        if self.retrieval_k < 1:
-            raise ValueError(f"retrieval_k must be >= 1, got {self.retrieval_k}")
-        if self.retrieval_seed_boost < 1:
-            raise ValueError(
-                f"retrieval_seed_boost must be >= 1, got {self.retrieval_seed_boost}"
             )
 
     # ------------------------------------------------------------------ #
@@ -155,15 +139,6 @@ class StaggConfig:
     def with_limits(self, limits: SearchLimits) -> "StaggConfig":
         return replace(self, limits=limits)
 
-    def with_retrieval(
-        self, cache_dir, k: Optional[int] = None
-    ) -> "StaggConfig":
-        """Arm similarity-seeded lifting over *cache_dir*'s index."""
-        overrides: Dict[str, object] = {"retrieval_cache_dir": str(cache_dir)}
-        if k is not None:
-            overrides["retrieval_k"] = k
-        return replace(self, **overrides)
-
     # ------------------------------------------------------------------ #
     # Identity for the lifting service's content-addressed store
     # ------------------------------------------------------------------ #
@@ -177,16 +152,15 @@ class StaggConfig:
         method label, and a store entry must replay records verbatim.
 
         ``limits.progress_interval`` is deliberately *excluded*: heartbeat
-        cadence is observational and must never retire store digests.  The
-        ``retrieval_*`` knobs are excluded for the same reason: retrieval
+        cadence is observational and must never retire store digests.
+        ``retrieval_cache_dir`` is excluded for the same reason: retrieval
         only reorders *which* verified answer is found first — every
         accepted answer passed the same validate-then-verify criterion —
-        so arming or re-tuning it must never retire store digests either.
+        so arming it must never retire store digests either.
         """
         digest = jsonable(self)
         limits = digest.get("limits")
         if isinstance(limits, dict):
             limits.pop("progress_interval", None)
-        for knob in ("retrieval_cache_dir", "retrieval_k", "retrieval_seed_boost"):
-            digest.pop(knob, None)
+        digest.pop("retrieval_cache_dir", None)
         return digest

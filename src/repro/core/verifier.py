@@ -85,8 +85,8 @@ from .validator import _outputs_equal
 WITNESS_SEED = 1729
 
 #: One bounded-check input: the flat free-input values (None draws them at
-#: random) and whether random draws avoid zero.
-_Input = Tuple[Optional[Sequence[int]], bool]
+#: random; the generator avoids zero when the task's spec asks it to).
+_Input = Optional[Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,6 @@ class VerifierConfig:
     exhaustive_cap: int = 4096
     #: Number of sampled inputs when the space is too large to enumerate.
     sampled_checks: int = 64
-    #: Avoid zero values when the kernel divides by an input.
-    avoid_zero: bool = False
 
 
 @dataclass
@@ -201,12 +199,10 @@ class BoundedEquivalenceChecker:
 
         inputs = self._exhaustive_inputs(slots) if exhaustive else self._sampled_inputs(slots)
         checks = 0
-        for row, avoid_zero in inputs:
+        for row in inputs:
             try:
                 example = self._generator.generate_one(
-                    sizes=sizes,
-                    avoid_zero=avoid_zero,
-                    values=None if row is None else plan.values(row),
+                    sizes=sizes, values=None if row is None else plan.values(row)
                 )
             except CRuntimeError:
                 # The original C program traps on this input (e.g. divides by
@@ -307,28 +303,23 @@ class BoundedEquivalenceChecker:
     # ------------------------------------------------------------------ #
     # Input enumeration
     # ------------------------------------------------------------------ #
-    def _avoid_zero(self) -> bool:
-        return self._config.avoid_zero or self._task.spec.avoid_zero
-
     def _value_choices(self) -> Tuple[int, ...]:
         values = self._config.value_set
-        if self._avoid_zero():
+        if self._task.spec.avoid_zero:
             values = tuple(v for v in values if v != 0) or (1,)
         return values
 
     def _exhaustive_inputs(self, slots: int) -> Iterator[_Input]:
-        for row in itertools.product(self._value_choices(), repeat=slots):
-            yield row, False
+        yield from itertools.product(self._value_choices(), repeat=slots)
 
     def _sampled_inputs(self, slots: int) -> Iterator[_Input]:
-        avoid_zero = self._avoid_zero()
         # Structured corner cases first: all zeros, ones, minus ones, twos.
         for pattern in (0, 1, -1, 2):
-            if avoid_zero and pattern == 0:
+            if self._task.spec.avoid_zero and pattern == 0:
                 continue
-            yield (pattern,) * slots, False
+            yield (pattern,) * slots
         for _ in range(self._config.sampled_checks):
-            yield None, avoid_zero
+            yield None
 
     # ------------------------------------------------------------------ #
     # Checking

@@ -33,7 +33,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -144,130 +143,6 @@ def _run_cell(
     return RunRecord(
         method=label, benchmark=benchmark_name, category=category, report=report
     )
-
-
-def shard_stream(length: int, shards: int) -> List[List[int]]:
-    """Contiguous index shards of a candidate stream (deterministic).
-
-    Every index appears exactly once, shards differ in size by at most one,
-    and shard boundaries depend only on ``(length, shards)`` — never on
-    timing — so a sharded scan visits the same candidates in the same
-    grouping on every run.
-    """
-    if length <= 0:
-        return []
-    shards = max(1, min(shards, length))
-    base, extra = divmod(length, shards)
-    result: List[List[int]] = []
-    start = 0
-    for shard in range(shards):
-        size = base + (1 if shard < extra else 0)
-        result.append(list(range(start, start + size)))
-        start += size
-    return result
-
-
-def _validate_shard(
-    task: LiftingTask,
-    shard: Sequence[Tuple[int, object]],
-    num_io_examples: int,
-    seed: int,
-    verifier_config: object,
-    tiered: bool,
-    timeout_seconds: Optional[float],
-) -> Tuple[Optional[int], Optional[str], int, bool]:
-    """Validate one shard of a candidate stream (worker-process entry point).
-
-    Module-level for the same reason as :func:`_run_cell`: worker processes
-    must unpickle it.  The harness — validator, verifier, I/O examples — is
-    *config-derived* state and rebuilds here, in the worker; only the task
-    and the candidate programs (pure data) cross the process boundary.
-
-    Returns ``(first hit index or None, concrete program, attempts,
-    timed_out)``.  The shard stops at its first hit: the caller commits to
-    the globally lowest-index hit, so later candidates in a shard that
-    already hit can never win.
-    """
-    from ..lifting.budget import Budget
-    from ..lifting.checking import build_harness, check_candidate
-
-    budget = Budget(timeout_seconds)
-    harness = build_harness(
-        task,
-        num_io_examples=num_io_examples,
-        seed=seed,
-        verifier_config=verifier_config,
-        tiered=tiered,
-    )
-    attempts = 0
-    for index, program in shard:
-        if budget.expired():
-            return None, None, attempts, True
-        attempts += 1
-        solved, validation, _verification = check_candidate(
-            harness.validator, harness.verifier, program
-        )
-        if solved and validation is not None:
-            return index, validation.concrete_program, attempts, False
-    return None, None, attempts, False
-
-
-def validate_stream(
-    task: LiftingTask,
-    programs: Sequence[object],
-    *,
-    execution: ExecutionConfig,
-    num_io_examples: int = 3,
-    seed: int = 7,
-    verifier_config: object = None,
-    tiered: bool = True,
-    timeout_seconds: Optional[float] = None,
-) -> Tuple[Optional[Tuple[int, str]], int, bool]:
-    """First-accept over a candidate stream, sharded across a process pool.
-
-    The stream is partitioned into contiguous shards (one per worker) and
-    each shard validates independently; the accepted candidate is the
-    **globally lowest-index** hit, which is exactly the candidate a
-    sequential first-accept scan commits to — sharding changes wall-clock,
-    never the outcome.  Attempt accounting matches the sequential scan too:
-    a hit at index *i* reports ``i + 1`` attempts (candidates a sequential
-    scan would have tried), a miss reports the full stream length.
-
-    Returns ``((index, concrete_program) or None, attempts, timed_out)``.
-    """
-    if not programs:
-        return None, 0, False
-    workers = execution.resolved_workers(ceiling=os.cpu_count())
-    shards = [
-        [(index, programs[index]) for index in indices]
-        for indices in shard_stream(len(programs), workers)
-    ]
-    pool_type = ProcessPoolExecutor if execution.uses_processes else ThreadPoolExecutor
-    with pool_type(max_workers=len(shards)) as pool:
-        futures = [
-            pool.submit(
-                _validate_shard,
-                task,
-                shard,
-                num_io_examples,
-                seed,
-                verifier_config,
-                tiered,
-                timeout_seconds,
-            )
-            for shard in shards
-        ]
-        outcomes = [future.result() for future in futures]
-    hits = [
-        (index, concrete)
-        for index, concrete, _attempts, _timed_out in outcomes
-        if index is not None
-    ]
-    timed_out = any(outcome[3] for outcome in outcomes)
-    if hits:
-        index, concrete = min(hits, key=lambda hit: hit[0])
-        return (index, concrete), index + 1, False
-    return None, sum(outcome[2] for outcome in outcomes), timed_out
 
 
 class EvaluationRunner:

@@ -35,7 +35,6 @@ from .executor import (
     BACKENDS,
     ExecutionConfig,
     TokenBudget,
-    default_execution,
     parse_executor_spec,
 )
 from .observer import (
@@ -138,7 +137,6 @@ __all__ = [
     "BACKENDS",
     "ExecutionConfig",
     "TokenBudget",
-    "default_execution",
     "parse_executor_spec",
     "PipelineState",
     "StatePicklingError",

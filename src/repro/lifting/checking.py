@@ -6,8 +6,7 @@ per-task harness (I/O examples, validator, bounded verifier) and the same
 ``check()`` closure (validate a candidate against the examples, then
 bounded-verify the surviving instantiation).  Both now build a
 :class:`TaskHarness` here and check candidates through :func:`build_check`,
-so the validator configuration surface — including the ``tiered=`` two-tier
-validation switch — is identical across STAGG and the baselines.
+so the validator configuration is identical across STAGG and the baselines.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ def build_harness(
     num_io_examples: int = 3,
     seed: int = 7,
     verifier_config: Optional[VerifierConfig] = None,
-    tiered: bool = True,
     function=None,
     signature=None,
 ) -> TaskHarness:
@@ -74,7 +72,7 @@ def build_harness(
     examples = IOExampleGenerator(task, function, signature, seed=seed).generate(
         num_io_examples
     )
-    validator = TemplateValidator(examples, constants, tiered=tiered)
+    validator = TemplateValidator(examples, constants)
     verifier = BoundedEquivalenceChecker(
         task,
         function,

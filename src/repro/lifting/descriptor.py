@@ -62,10 +62,5 @@ def describe_lifter(lifter: object) -> Dict[str, object]:
         descriptor["oracle"] = describe_oracle(oracle)
         state.pop("_oracle", None)
         state.pop("oracle", None)
-    # Execution backends are digest-excluded, like budgets: they change
-    # wall-clock, never outcomes, so thread- and process-backed runs of the
-    # same method must share a result-store digest.
-    state.pop("_execution", None)
-    state.pop("execution", None)
     descriptor["state"] = jsonable(dict(sorted(state.items())))
     return descriptor

@@ -3,10 +3,11 @@
 An :class:`ExecutionConfig` names the backend a *method* runs its parallel
 work on: ``backend`` picks threads or processes and ``workers`` sizes the
 pool.  Every consumer resolves the same object through
-``resolve_method(..., execution=...)`` — the
+``resolve_method(..., execution=...)``.  Portfolios are the only methods
+with parallel work of their own: a
 :class:`~repro.portfolio.PortfolioLifter` races its members on that
-backend, and stream-validating baselines shard on it.  The outer layers
-only add a pool size on top: the
+backend, and every other method runs the same way under either.  The
+outer layers only add a pool size on top: the
 :class:`~repro.evaluation.runner.EvaluationRunner` fans sweep cells over a
 ``workers``-sized pool of the same backend, and the lifting service runs
 ``workers`` scheduler *threads* whose jobs each carry the config into
@@ -14,9 +15,8 @@ their method.
 
 Like budgets, the execution backend is **digest-excluded**: it changes
 wall-clock, never outcomes, so two runs of the same method under different
-backends share a result-store digest (see ``descriptor.py``, which strips
-execution state from the generic descriptor path, and the portfolio
-descriptor, which never emits it).
+backends share a result-store digest (no lifter but the portfolio keeps
+the config, and the portfolio descriptor never emits it).
 
 Cross-process cancellation rides the existing cooperative poll points: a
 :class:`TokenBudget` wraps a ``multiprocessing.Event`` shared between the
@@ -105,11 +105,6 @@ def parse_executor_spec(spec: str) -> ExecutionConfig:
         return ExecutionConfig(backend=backend, workers=workers)
     except ValueError as exc:
         raise ValueError(f"invalid executor spec {spec!r}: {exc}") from None
-
-
-def default_execution() -> ExecutionConfig:
-    """The backward-compatible default: thread-backed, machine-sized."""
-    return ExecutionConfig()
 
 
 class TokenBudget(Budget):

@@ -57,6 +57,9 @@ from .observer import LiftEvent, LiftObserver, bind, safe_notify
 
 #: The canonical stage order (also the key order of ``stage_timings``).
 STAGE_NAMES = ("oracle", "templatize", "dimension", "grammar", "search")
+#: How many times each retrieved neighbor template is counted into the
+#: learned pCFG weights on a tier-0 miss (1 = one oracle candidate's weight).
+RETRIEVAL_SEED_BOOST = 3
 
 
 @dataclass
@@ -292,16 +295,17 @@ class GrammarStage(Stage):
         state.grammar_style = style
         # Similarity seeding, part (b): after a tier-0 miss the seed stage
         # leaves the neighbors' winning templates on the state, and each is
-        # counted ``retrieval_seed_boost`` times alongside the oracle's
+        # counted ``RETRIEVAL_SEED_BOOST`` times alongside the oracle's
         # candidates — derivation counting is frequency-based, so
         # repetition *is* the weight boost.  The grammar itself (and the
         # penalty operators, which read ``state.templates``) stay purely
         # oracle-derived.
         templates = state.templates
         if state.seed_templates:
-            boost = config.retrieval_seed_boost
             templates = list(templates) + [
-                template for template in state.seed_templates for _ in range(boost)
+                template
+                for template in state.seed_templates
+                for _ in range(RETRIEVAL_SEED_BOOST)
             ]
         state.pcfg = learn_pcfg(
             grammar,
@@ -371,7 +375,6 @@ class SearchStage(Stage):
             num_io_examples=config.num_io_examples,
             seed=config.seed,
             verifier_config=config.verifier,
-            tiered=config.tiered_validation,
             function=state.function,
             signature=state.signature,
         )

@@ -72,7 +72,6 @@ class MethodContext:
     seed: int
     limits: SearchLimits
     verifier: VerifierConfig
-    tiered: bool
     #: How the built lifter should run parallel work.  Digest-excluded (like
     #: budgets): the backend changes wall-clock, never outcomes, so factories
     #: must keep it out of every descriptor they compose.
@@ -85,16 +84,16 @@ MethodFactory = Callable[[MethodContext], object]
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One registered lifting method."""
+    """One registered lifting method.
+
+    Every method runs under either execution backend; only ``portfolio``
+    methods do parallel work of their own (they race their members on it).
+    """
 
     name: str
     factory: MethodFactory
     kind: str  # "stagg" | "baseline" | "portfolio"
     description: str = ""
-    #: Whether the method itself exploits a process backend internally
-    #: (portfolio races across processes; LLM shards candidate validation).
-    #: Every method still *runs* under either backend at the harness layer.
-    supports_processes: bool = False
 
 
 #: Valid method kinds (``portfolio`` methods compose other registered ones).
@@ -110,7 +109,6 @@ def register_method(
     kind: str = "stagg",
     description: str = "",
     replace: bool = False,
-    supports_processes: bool = False,
 ) -> MethodSpec:
     """Register *factory* under *name*; names are unique unless ``replace``."""
     if kind not in METHOD_KINDS:
@@ -119,13 +117,7 @@ def register_method(
         raise ValueError(
             f"method {name!r} is already registered; pass replace=True to override"
         )
-    spec = MethodSpec(
-        name=name,
-        factory=factory,
-        kind=kind,
-        description=description,
-        supports_processes=supports_processes,
-    )
+    spec = MethodSpec(name=name, factory=factory, kind=kind, description=description)
     _REGISTRY[name] = spec
     return spec
 
@@ -168,7 +160,6 @@ def resolve_method(
     oracle_seed: Optional[int] = None,
     limits: Optional[SearchLimits] = None,
     verifier: Optional[VerifierConfig] = None,
-    tiered: bool = True,
     execution: Optional[ExecutionConfig] = None,
 ) -> object:
     """Build the lifter registered under *name*.
@@ -188,12 +179,10 @@ def resolve_method(
     ``limits`` / ``verifier``
         Explicit :class:`SearchLimits` / :class:`VerifierConfig`; default to
         the canonical :func:`default_limits` / :func:`default_verifier_config`.
-    ``tiered``
-        Two-tier validation switch, applied uniformly to STAGG and baselines.
     ``execution``
         An :class:`~repro.lifting.executor.ExecutionConfig` selecting the
         parallelism backend for methods that run parallel work (portfolio
-        races, sharded validation).  Digest-excluded: it never changes the
+        races).  Digest-excluded: it never changes the
         descriptor, so thread- and process-backed runs share a store digest.
     """
     spec = method_spec(name)
@@ -209,7 +198,6 @@ def resolve_method(
         seed=seed,
         limits=limits if limits is not None else default_limits(timeout_seconds),
         verifier=verifier if verifier is not None else default_verifier_config(),
-        tiered=tiered,
         execution=execution,
     )
     return spec.factory(context)
@@ -237,7 +225,6 @@ def _stagg_factory(configure: Callable[[StaggConfig], StaggConfig]) -> MethodFac
             limits=context.limits,
             verifier=context.verifier,
             seed=context.seed,
-            tiered_validation=context.tiered,
         )
         return StaggSynthesizer(context.oracle, configure(base))
 
@@ -250,7 +237,6 @@ def _register_stagg_methods() -> None:
         limits=config.limits,
         verifier=config.verifier,
         seed=config.seed,
-        tiered_validation=config.tiered_validation,
     )
     bases = {
         "STAGG_TD": ("top-down weighted A* over the refined grammar", topdown),
@@ -305,8 +291,6 @@ def _register_baseline_methods() -> None:
             verifier_config=context.verifier,
             seed=context.seed,
             timeout_seconds=context.timeout_seconds,
-            tiered=context.tiered,
-            execution=context.execution,
         )
 
     def c2taco(context: MethodContext, use_heuristics: bool = True) -> object:
@@ -318,7 +302,6 @@ def _register_baseline_methods() -> None:
             seed=context.seed,
             timeout_seconds=context.timeout_seconds,
             max_candidates=BASELINE_CANDIDATE_BUDGET,
-            tiered=context.tiered,
         )
 
     def tenspiler(context: MethodContext) -> object:
@@ -328,7 +311,6 @@ def _register_baseline_methods() -> None:
             verifier_config=context.verifier,
             seed=context.seed,
             timeout_seconds=context.timeout_seconds,
-            tiered=context.tiered,
         )
 
     register_method(
@@ -336,7 +318,6 @@ def _register_baseline_methods() -> None:
         llm_only,
         kind="baseline",
         description="validate raw LLM candidates, no search (Section 8)",
-        supports_processes=True,
     )
     register_method(
         "C2TACO",

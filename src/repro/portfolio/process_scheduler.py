@@ -51,9 +51,8 @@ class ProcessMemberScheduler(MemberScheduler):
 
     The race spawns one process per member (a portfolio rarely has more
     members than the machine has cores; the OS timeshares otherwise) —
-    ``ExecutionConfig.workers`` sizes *pools* (evaluation, service threads,
-    shard validation), not the race fan-out, which is fixed by the member
-    list.
+    ``ExecutionConfig.workers`` sizes *pools* (evaluation, service
+    threads), not the race fan-out, which is fixed by the member list.
     """
 
     def _pack(

@@ -168,7 +168,6 @@ def maybe_portfolio_spec(name: str) -> Optional[MethodSpec]:
         factory=portfolio_factory(members, label=label),
         kind="portfolio",
         description=_default_description(members),
-        supports_processes=True,
     )
 
 
@@ -195,5 +194,4 @@ def register_portfolio(
         kind="portfolio",
         description=description,
         replace=replace,
-        supports_processes=True,
     )

@@ -8,7 +8,7 @@ guidance for the next lift:
   and structural (loop-nest shape, signature shape, dimension signature,
   templatized skeleton) features of stored lifts and query tasks;
 * :mod:`repro.retrieval.index` — the deterministic on-disk index kept
-  beside the store (``<root>/v4/index/``), incrementally maintained on
+  beside the store (``<root>/v5/index/``), incrementally maintained on
   every store write/eviction and byte-identically rebuildable from the
   objects;
 * :mod:`repro.retrieval.retriever` — reciprocal-rank fusion of the

@@ -2,7 +2,7 @@
 
 Layout under the cache root (beside ``objects/``)::
 
-    <root>/v4/index/index.json
+    <root>/v5/index/index.json
 
 One JSON document holds a row per stored digest (see
 :func:`repro.retrieval.features.entry_row`).  Three invariants:

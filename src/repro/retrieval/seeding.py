@@ -21,7 +21,7 @@ tractable:
 
 The stage is observational about the store: every accepted answer —
 seeded or searched — passes the same acceptance criterion, which is why
-the retrieval knobs are excluded from the config digest.
+``retrieval_cache_dir`` is excluded from the config digest.
 
 Cold-path cost: with no index (or no solved rows) ``Retriever.open``
 returns ``None`` and the stage returns after one guarded check.
@@ -30,7 +30,7 @@ returns ``None`` and the stage returns after one guarded check.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List
 
 from ..core.events import LiftEvent, safe_notify
 from ..core.search import SearchOutcome
@@ -42,6 +42,8 @@ from .retriever import Retriever
 
 #: Stage name (prefixed to the canonical five when retrieval is armed).
 SEED_STAGE_NAME = "seed"
+#: Nearest solved kernels retrieved per lift (tier-0 candidates).
+RETRIEVAL_K = 3
 
 
 def _seeded(neighbors: int, hit: bool) -> LiftEvent:
@@ -72,7 +74,7 @@ class SeedStage(Stage):
             safe_notify(observer, _seeded(0, False))
             return
         info["armed"] = True
-        neighbors = retriever.neighbors(state.task, k=config.retrieval_k)
+        neighbors = retriever.neighbors(state.task, k=RETRIEVAL_K)
         info["neighbors"] = len(neighbors)
         if not neighbors:
             safe_notify(observer, _seeded(0, False))
@@ -83,7 +85,6 @@ class SeedStage(Stage):
             num_io_examples=config.num_io_examples,
             seed=config.seed,
             verifier_config=config.verifier,
-            tiered=config.tiered_validation,
             function=state.function,
             signature=state.signature,
         )
@@ -133,13 +134,13 @@ class SeedStage(Stage):
             report.details["retrieval"] = dict(state.seed_info)
 
 
-def seeded_lifter(lifter, cache_dir, k: Optional[int] = None):
+def seeded_lifter(lifter, cache_dir):
     """Arm *lifter* with retrieval over *cache_dir*, when it supports it.
 
     Only :class:`~repro.core.synthesizer.StaggSynthesizer` instances run
     the staged pipeline the seed stage plugs into; anything else (the
-    baselines, portfolios) is returned unchanged.  The retrieval knobs
-    are digest-excluded, so the armed lifter keeps the exact store
+    baselines, portfolios) is returned unchanged.  The retrieval knob is
+    digest-excluded, so the armed lifter keeps the exact store
     identity of the plain one.
     """
     from dataclasses import replace
@@ -148,7 +149,5 @@ def seeded_lifter(lifter, cache_dir, k: Optional[int] = None):
 
     if not isinstance(lifter, StaggSynthesizer):
         return lifter
-    overrides = {"retrieval_cache_dir": str(cache_dir)}
-    if k is not None:
-        overrides["retrieval_k"] = k
-    return StaggSynthesizer(lifter.oracle, replace(lifter.config, **overrides))
+    config = replace(lifter.config, retrieval_cache_dir=str(cache_dir))
+    return StaggSynthesizer(lifter.oracle, config)

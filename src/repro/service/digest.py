@@ -37,9 +37,11 @@ from ..lifting.descriptor import describe_lifter, describe_oracle  # noqa: F401
 #: whose stored verdicts came from the sampled check; 4: the refined
 #: grammars offer ``Const`` only with a harvested constant and the dimension
 #: list gains the input-tensor slots the vote missed, so a stored STAGG
-#: outcome, e.g. a ``blend.screen_rows`` failure, must not replay); stored
-#: under a versioned directory so old caches are ignored, not misread.
-STORE_SCHEMA_VERSION = 4
+#: outcome, e.g. a ``blend.screen_rows`` failure, must not replay; 5: the
+#: digest inputs change, as descriptors drop the always-on validation tier
+#: switch and the verifier's unused ``avoid_zero`` bound); stored under a
+#: versioned directory so old caches are ignored, not misread.
+STORE_SCHEMA_VERSION = 5
 
 
 def canonical_json(value: object) -> str:

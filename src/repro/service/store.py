@@ -3,7 +3,7 @@
 Completed lifts are persisted as JSON, keyed by the request digest of
 :mod:`repro.service.digest`.  Layout under the cache root::
 
-    <root>/v4/objects/<digest[:2]>/<digest>.json
+    <root>/v5/objects/<digest[:2]>/<digest>.json
 
 Each entry carries the full :class:`SynthesisReport` plus provenance
 metadata — the git SHA the result was produced at, the lifter descriptor

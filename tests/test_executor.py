@@ -1,10 +1,10 @@
 """Tests for the unified execution-selection surface (`repro.lifting.executor`).
 
-Covers the PR-10 API contract: `ExecutionConfig` parsing and validation,
-the cross-process `TokenBudget`, picklable pipeline state with loud
-per-field errors, shard partitioning for stream validation, the
-`EvaluationRunner`'s execution mapping — and the digest-exclusion
-regression test: the executor backend must never enter a store digest.
+Covers the API contract: `ExecutionConfig` parsing and validation, the
+cross-process `TokenBudget`, picklable pipeline state with loud per-field
+errors, the `EvaluationRunner`'s execution mapping — and the
+digest-exclusion regression test: the executor backend must never enter a
+store digest.
 """
 
 from __future__ import annotations
@@ -18,12 +18,10 @@ from dataclasses import fields
 import pytest
 
 from repro.evaluation import EvaluationRunner
-from repro.evaluation.runner import shard_stream, validate_stream
 from repro.lifting import (
     ExecutionConfig,
     StatePicklingError,
     TokenBudget,
-    default_execution,
     ensure_picklable,
     method_spec,
     parse_executor_spec,
@@ -43,7 +41,7 @@ def _task(name: str = "darknet.copy_cpu"):
 # ---------------------------------------------------------------------- #
 class TestExecutionConfig:
     def test_defaults_are_thread_backed(self):
-        config = default_execution()
+        config = ExecutionConfig()
         assert config.backend == "threads"
         assert not config.uses_processes
         assert config.workers is None
@@ -156,67 +154,6 @@ class TestStatePickling:
 
 
 # ---------------------------------------------------------------------- #
-# Shard partitioning + sharded stream validation
-# ---------------------------------------------------------------------- #
-class TestShardStream:
-    def test_partitions_are_contiguous_and_complete(self):
-        shards = shard_stream(10, 3)
-        assert [i for shard in shards for i in shard] == list(range(10))
-        sizes = [len(shard) for shard in shards]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_shards_than_items(self):
-        shards = shard_stream(2, 5)
-        assert [i for shard in shards for i in shard] == [0, 1]
-        assert all(shard for shard in shards)
-
-    def test_empty_stream(self):
-        assert shard_stream(0, 4) == []
-
-
-class TestValidateStream:
-    def _programs(self, task):
-        oracle = SyntheticOracle(OracleConfig())
-        from repro.core.templates import deduplicate, templatize_all
-        from repro.llm import LiftingQuery
-
-        response = oracle.propose(
-            LiftingQuery(
-                c_source=task.c_source,
-                name=task.name,
-                reference_solution=task.reference_solution,
-            )
-        )
-        return [t.program for t in deduplicate(templatize_all(response.candidates))]
-
-    def test_threads_and_processes_accept_the_same_candidate(self):
-        task = _task()
-        programs = self._programs(task)
-        results = {}
-        for backend in ("threads", "processes"):
-            hit, attempts, timed_out = validate_stream(
-                task,
-                programs,
-                execution=ExecutionConfig(backend=backend, workers=2),
-            )
-            assert hit is not None and not timed_out
-            results[backend] = (hit[0], str(hit[1]), attempts)
-        assert results["threads"] == results["processes"]
-
-    def test_commits_to_lowest_index_hit(self):
-        # The sequential scan accepts the first hit; the sharded scan must
-        # commit to the same (globally lowest-index) candidate even when a
-        # later shard finds its own hit first.
-        task = _task()
-        programs = self._programs(task)
-        hit, attempts, _ = validate_stream(
-            task, programs, execution=ExecutionConfig("processes", workers=2)
-        )
-        first_index = hit[0]
-        assert attempts == first_index + 1  # matches the sequential count
-
-
-# ---------------------------------------------------------------------- #
 # EvaluationRunner: the execution surface
 # ---------------------------------------------------------------------- #
 class TestRunnerExecutionMapping:
@@ -273,12 +210,12 @@ class TestDigestExclusion:
 # Registry surface: which methods support process backends
 # ---------------------------------------------------------------------- #
 class TestSupportsProcesses:
-    def test_llm_and_portfolios_support_processes(self):
-        assert method_spec("LLM").supports_processes
-        assert method_spec("Portfolio(STAGG_TD,STAGG_BU)").supports_processes
+    def test_only_portfolios_support_processes(self):
+        assert method_spec("Portfolio(STAGG_TD,STAGG_BU)").kind == "portfolio"
+        assert method_spec("LLM").kind == "baseline"
 
     def test_plain_stagg_does_not(self):
-        assert not method_spec("STAGG_TD").supports_processes
+        assert method_spec("STAGG_TD").kind == "stagg"
 
     def test_methods_json_reports_the_flag(self, capsys):
         import json as json_module
@@ -288,5 +225,6 @@ class TestSupportsProcesses:
         assert main(["methods", "--json"]) == 0
         entries = json_module.loads(capsys.readouterr().out)
         by_name = {entry["name"]: entry for entry in entries}
-        assert by_name["LLM"]["supports_processes"] is True
+        assert by_name["LLM"]["supports_processes"] is False
         assert by_name["STAGG_TD"]["supports_processes"] is False
+        assert by_name["Portfolio.Default"]["supports_processes"] is True

@@ -104,12 +104,6 @@ class TestResolvedMethods:
         lifter = resolve_method("STAGG_TD", timeout_seconds=12.5)
         assert lifter.config.limits.timeout_seconds == 12.5
 
-    def test_tiered_override_flows_to_stagg_and_baselines(self):
-        stagg = resolve_method("STAGG_TD", tiered=False)
-        assert stagg.config.tiered_validation is False
-        baseline = resolve_method("C2TACO", tiered=False)
-        assert baseline._tiered is False  # noqa: SLF001 - constructor surface
-
     def test_resolve_methods_bulk(self):
         methods = resolve_methods(("STAGG_TD", "Tenspiler"), timeout_seconds=3.0)
         assert list(methods) == ["STAGG_TD", "Tenspiler"]

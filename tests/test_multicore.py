@@ -102,15 +102,32 @@ class TestDeterminism:
                 assert member["cancelled"] or member["success"]
 
     def test_llm_baseline_matches_threads(self):
-        # The sharded-validation path: the LLM baseline partitions its
-        # candidate stream over the pool and must accept the same
-        # candidate with the same attempt count as the sequential scan.
+        # The LLM baseline scans its few raw candidates in order on either
+        # backend: it must accept the same candidate with the same attempt
+        # count whatever backend it was resolved with.
         threaded = _lift("LLM", "threads")
         processed = _lift("LLM", "processes")
         assert processed.success == threaded.success
         assert str(processed.lifted_program) == str(threaded.lifted_program)
         assert str(processed.template) == str(threaded.template)
         assert processed.attempts == threaded.attempts
+
+    def test_llm_lift_starts_no_process_pool(self, monkeypatch):
+        # A process backend gives the LLM baseline nothing to parallelise:
+        # its lift must not start a pool, and must report the sequential
+        # program and attempt count.
+        import repro.evaluation.runner as runner
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the LLM baseline started a process pool")
+
+        sequential = _lift("LLM", "threads")
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", refuse)
+        processed = _lift("LLM", "processes")
+        assert not processed.error
+        assert processed.success and sequential.success
+        assert str(processed.lifted_program) == str(sequential.lifted_program)
+        assert processed.attempts == sequential.attempts
 
     def test_process_report_round_trips_json(self):
         report = _lift(PORTFOLIO, "processes")

@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.core import StaggConfig
 from repro.core.search import SearchLimits
 from repro.lifting import RecordingObserver, resolve_method
 from repro.retrieval import (
@@ -224,16 +223,11 @@ class TestSeeding:
         assert seeded_lifter(baseline, tmp_path) is baseline
 
     def test_retrieval_knobs_are_digest_excluded(self, tmp_path):
-        plain = StaggConfig.topdown()
-        seeded = plain.with_retrieval(str(tmp_path), k=5)
-        assert seeded.retrieval_cache_dir == str(tmp_path)
-        assert seeded.digest_dict() == plain.digest_dict()
-
-    def test_retrieval_knob_validation(self):
-        with pytest.raises(ValueError, match="retrieval_k"):
-            StaggConfig(retrieval_k=0)
-        with pytest.raises(ValueError, match="retrieval_seed_boost"):
-            StaggConfig(retrieval_seed_boost=0)
+        plain = resolve_method("STAGG_TD", timeout_seconds=20.0)
+        seeded = seeded_lifter(plain, tmp_path)
+        assert seeded.config.retrieval_cache_dir == str(tmp_path)
+        assert seeded.config.digest_dict() == plain.config.digest_dict()
+        assert seeded.descriptor() == plain.descriptor()
 
     def test_progress_interval_validation(self):
         with pytest.raises(ValueError, match="progress_interval"):
