@@ -91,6 +91,30 @@ class TestLLMOnly:
         assert not report.success
         assert report.attempts >= 1
 
+    def test_commits_to_first_accepted_candidate(self):
+        # The raw candidates are validated in the oracle's order and the
+        # scan stops at the first one that passes: a later correct
+        # candidate is never tried.
+        oracle = StaticOracle([
+            "res(i) = v1(i) + v2(i)",
+            "res(i) = v1(i) * v2(i)",
+            "res(i) = v1(i) - v2(i)",
+        ])
+        lifter = LLMOnlyLifter(oracle, verifier_config=FAST_VERIFIER, timeout_seconds=30)
+        report = lifter.lift(_task("mathfu.hadamard"))
+        assert report.success
+        assert report.attempts == 2
+        assert "*" in str(report.lifted_program)
+
+    def test_spent_timeout_stops_before_any_candidate(self):
+        oracle = StaticOracle(["res(i) = v1(i) * v2(i)"])
+        lifter = LLMOnlyLifter(oracle, verifier_config=FAST_VERIFIER, timeout_seconds=0.0)
+        report = lifter.lift(_task("mathfu.hadamard"))
+        assert report.timed_out
+        assert not report.success
+        assert report.attempts == 0
+        assert report.error == ""
+
     def test_synthetic_oracle_end_to_end(self):
         lifter = LLMOnlyLifter(
             SyntheticOracle(), verifier_config=FAST_VERIFIER, timeout_seconds=30

@@ -159,6 +159,31 @@ class TestVerifier:
         assert result.exhaustive
         assert result.checks_run == 9
 
+    def test_avoid_zero_comes_from_the_task_spec(self):
+        # The bounded check drops zero from its value set exactly when the
+        # task's spec asks for it: 3 values over 2 slots without, 2 with.
+        source = (
+            "void neg(int n, float *x, float *out) {"
+            " for (int i = 0; i < n; i++) out[i] = 0 - x[i]; }"
+        )
+        config = VerifierConfig(size_bound=2, value_set=(-1, 0, 1), exhaustive_cap=100)
+        runs = {}
+        for avoid_zero in (False, True):
+            task = LiftingTask(
+                name="test.negate",
+                c_source=source,
+                spec=InputSpec(
+                    sizes={"n": 4},
+                    arrays={"x": ("n",), "out": ("n",)},
+                    avoid_zero=avoid_zero,
+                ),
+            )
+            verifier = BoundedEquivalenceChecker(task, config=config)
+            result = verifier.check_bounded(parse_program("out(i) = 0 - x(i)"))
+            assert result.equivalent and result.exhaustive
+            runs[avoid_zero] = result.checks_run
+        assert runs == {False: 9, True: 4}
+
     def test_division_by_zero_inputs_are_skipped(self):
         task = LiftingTask(
             name="test.div",

@@ -228,3 +228,15 @@ class TestSupportsProcesses:
         assert by_name["LLM"]["supports_processes"] is False
         assert by_name["STAGG_TD"]["supports_processes"] is False
         assert by_name["Portfolio.Default"]["supports_processes"] is True
+
+    def test_methods_json_flag_follows_kind_for_every_method(self, capsys):
+        import json as json_module
+
+        from repro.cli import main
+
+        assert main(["methods", "--json"]) == 0
+        entries = json_module.loads(capsys.readouterr().out)
+        assert entries
+        for entry in entries:
+            expected = method_spec(entry["name"]).kind == "portfolio"
+            assert entry["supports_processes"] is expected, entry["name"]

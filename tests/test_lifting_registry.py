@@ -21,6 +21,7 @@ from repro.lifting import (
     GRAMMAR_ABLATION_METHODS,
     Lifter,
     PENALTY_ABLATION_METHODS,
+    RecordingObserver,
     STANDARD_METHODS,
     method_name_for,
     method_names,
@@ -103,6 +104,31 @@ class TestResolvedMethods:
     def test_timeout_flows_into_search_limits(self):
         lifter = resolve_method("STAGG_TD", timeout_seconds=12.5)
         assert lifter.config.limits.timeout_seconds == 12.5
+
+    def test_stagg_and_baselines_validate_tiered(self):
+        # Every method checks candidates through the tiered validator: the
+        # float screen rejects most wrong substitutions before the exact
+        # tier runs.
+        task = get_benchmark("darknet.axpy_cpu").task()
+        observer = RecordingObserver()
+        report = resolve_method("STAGG_TD", timeout_seconds=20.0).lift(
+            task, observer=observer
+        )
+        assert report.success
+        stats = [e.attrs for e in observer.events if e.name == "validator_stats"]
+        assert stats and stats[0]["screen_rejects"] > 0
+        assert stats[0]["exact_checks"] < stats[0]["candidates"]
+        for name in method_names(kind="baseline"):
+            context = resolve_method(name)._prepare(task)  # noqa: SLF001
+            assert context.validator.tiered
+
+    def test_descriptors_carry_no_retired_knobs(self):
+        # A setting no caller changes must not enter the store digest.
+        retired = ("tiered", "avoid_zero", "retrieval_k", "seed_boost", "execution")
+        for name in method_names() + ["Portfolio(STAGG_TD,STAGG_BU)"]:
+            rendered = json.dumps(resolve_method(name).descriptor(), default=str)
+            for knob in retired:
+                assert knob not in rendered, (name, knob)
 
     def test_resolve_methods_bulk(self):
         methods = resolve_methods(("STAGG_TD", "Tenspiler"), timeout_seconds=3.0)

@@ -16,6 +16,7 @@ import pytest
 from repro.core.search import SearchLimits
 from repro.lifting import RecordingObserver, resolve_method
 from repro.retrieval import (
+    DEFAULT_NEIGHBORS,
     INDEX_SCHEMA_VERSION,
     RetrievalIndex,
     Retriever,
@@ -27,6 +28,7 @@ from repro.retrieval.features import (
     lexical_shingles,
     source_features,
 )
+from repro.retrieval.seeding import RETRIEVAL_K
 from repro.service.store import CachedLifter, ResultStore
 from repro.suite import get_benchmark
 
@@ -228,6 +230,25 @@ class TestSeeding:
         assert seeded.config.retrieval_cache_dir == str(tmp_path)
         assert seeded.config.digest_dict() == plain.config.digest_dict()
         assert seeded.descriptor() == plain.descriptor()
+
+    def test_seed_stage_asks_for_retrieval_k_neighbors(self, populated, monkeypatch):
+        cache_dir, _store, _index = populated
+        asked = []
+        original = Retriever.neighbors
+
+        def recording(self, task, k=DEFAULT_NEIGHBORS):
+            asked.append(k)
+            return original(self, task, k=k)
+
+        monkeypatch.setattr(Retriever, "neighbors", recording)
+        lifter = seeded_lifter(
+            resolve_method("STAGG_TD", timeout_seconds=20.0), cache_dir
+        )
+        report = lifter.lift(get_benchmark("blend.add_pixels").task())
+        assert report.success
+        assert asked == [RETRIEVAL_K] and RETRIEVAL_K == 3
+        retrieval = report.details["retrieval"]
+        assert retrieval["neighbors"] == min(RETRIEVAL_K, len(SEED_KERNELS))
 
     def test_progress_interval_validation(self):
         with pytest.raises(ValueError, match="progress_interval"):
