@@ -25,7 +25,10 @@ def main() -> None:
     bottomup = StaggSynthesizer(oracle, StaggConfig.bottomup(limits=LIMITS, verifier=VERIFIER))
 
     print(f"Lifting {len(benchmarks)} llama kernels\n")
-    header = f"{'benchmark':32s} {'method':9s} {'ok':3s} {'time':>7s} {'attempts':>9s}  lifted expression"
+    header = (
+        f"{'benchmark':32s} {'method':9s} {'ok':3s} {'time':>7s} {'attempts':>9s}"
+        "  lifted expression"
+    )
     print(header)
     print("-" * len(header))
     for benchmark in benchmarks:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..cfront.analysis import analyze_signature, harvest_constants, predict_dimensions
+from ..core.kernel import kernel_of
 from ..core.result import SynthesisReport
 from ..core.task import LiftingTask
 from ..core.verifier import VerifierConfig
@@ -79,10 +79,10 @@ class C2TacoLifter(BaselineLifter):
         report: SynthesisReport,
         started: float,
     ) -> None:
-        function = task.parse()
-        signature = analyze_signature(function)
-        prediction = predict_dimensions(function)
-        constants = harvest_constants(function)
+        kernel = kernel_of(task)
+        signature = kernel.signature
+        prediction = kernel.dimensions
+        constants = kernel.constants
         output = signature.output_argument
         output_rank = prediction.output_rank if output is not None else 0
 
@@ -99,7 +99,7 @@ class C2TacoLifter(BaselineLifter):
         lhs = TensorAccess(output if output is not None else "result", lhs_indices)
 
         operand_pool = self._operand_pool(signature, prediction, constants)
-        size_limit = self._operand_limit(function, signature)
+        size_limit = self._operand_limit(signature)
 
         for candidate in self._enumerate(lhs, operand_pool, size_limit):
             if self._out_of_time(started, context.budget):
@@ -155,7 +155,7 @@ class C2TacoLifter(BaselineLifter):
                 pool.append(("<const>", 0, value))
         return pool
 
-    def _operand_limit(self, function, signature) -> int:
+    def _operand_limit(self, signature) -> int:
         """Maximum number of operands in an enumerated expression."""
         if not self._use_heuristics:
             return self._max_operands

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence, Tuple
 
-from ..cfront.analysis import analyze_signature, harvest_constants, predict_dimensions
+from ..core.kernel import kernel_of
 from ..core.result import SynthesisReport
 from ..core.task import LiftingTask
 from ..taco import TacoProgram, parse_program
@@ -70,10 +70,10 @@ class TenspilerLifter(BaselineLifter):
         report: SynthesisReport,
         started: float,
     ) -> None:
-        function = task.parse()
-        signature = analyze_signature(function)
-        prediction = predict_dimensions(function)
-        constants = harvest_constants(function)
+        kernel = kernel_of(task)
+        signature = kernel.signature
+        prediction = kernel.dimensions
+        constants = kernel.constants
 
         output = signature.output_argument
         output_rank = prediction.output_rank if output is not None else 0

@@ -70,9 +70,10 @@ def _access_base_name(expr: Expr) -> Optional[str]:
     return None
 
 
-def _subscript_accesses(function: FunctionDef) -> List[Tuple[ArrayIndex, Tuple[str, ...]]]:
+def _subscript_accesses(
+    function: FunctionDef, nest: LoopNest
+) -> List[Tuple[ArrayIndex, Tuple[str, ...]]]:
     """Every subscript access paired with the induction variables enclosing it."""
-    nest = analyze_loops(function)
     accesses: List[Tuple[ArrayIndex, Tuple[str, ...]]] = []
     for stmt in walk_statements(function):
         enclosing = nest.variables_enclosing(stmt)
@@ -107,7 +108,7 @@ def predict_argument_rank(
     definitions = scalar_definitions(function)
 
     best = 0
-    for access, _enclosing in _subscript_accesses(function):
+    for access, _enclosing in _subscript_accesses(function, loops):
         base = _access_base_name(access)
         if base is None:
             continue
@@ -126,21 +127,34 @@ def predict_argument_rank(
 
 
 def predict_output_rank(
-    function: FunctionDef, signature: Optional[SignatureInfo] = None
+    function: FunctionDef,
+    signature: Optional[SignatureInfo] = None,
+    loops: Optional[LoopNest] = None,
+    pointers: Optional[PointerAnalysis] = None,
 ) -> int:
     """Predict the rank of the kernel's output (Section 4.2.3)."""
     signature = signature or analyze_signature(function)
     if signature.output_kind is OutputKind.RETURN or signature.output_argument is None:
         # Result returned by value: a scalar.
         return 0
-    return predict_argument_rank(function, signature.output_argument, signature)
+    return predict_argument_rank(
+        function, signature.output_argument, signature, loops, pointers
+    )
 
 
-def predict_dimensions(function: FunctionDef) -> DimensionPrediction:
-    """Predict ranks for the output and every tensor argument of *function*."""
-    signature = analyze_signature(function)
-    loops = analyze_loops(function)
-    pointers = analyze_pointers(function, loops)
+def predict_dimensions(
+    function: FunctionDef,
+    signature: Optional[SignatureInfo] = None,
+    loops: Optional[LoopNest] = None,
+    pointers: Optional[PointerAnalysis] = None,
+) -> DimensionPrediction:
+    """Predict ranks for the output and every tensor argument of *function*.
+
+    The analyses of *function* may be passed in when the caller has them.
+    """
+    signature = signature or analyze_signature(function)
+    loops = loops or analyze_loops(function)
+    pointers = pointers or analyze_pointers(function, loops)
     ranks: Dict[str, int] = {}
     for arg in signature.arguments:
         if arg.kind in (ArgumentKind.TENSOR, ArgumentKind.OUTPUT):

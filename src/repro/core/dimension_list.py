@@ -16,7 +16,7 @@ One departure from Section 4.2.3, which takes the RHS ranks from the vote
 alone: when the voted list has fewer RHS slots than the kernel has input
 tensor arguments (``ArgumentKind.TENSOR``), the vote cannot name every
 array the kernel reads, so the missing slots are filled from the static
-argument ranks (:func:`~repro.cfront.analysis.predict_dimensions`) — the
+argument ranks (:attr:`~repro.core.kernel.Kernel.dimensions`) — the
 static ranks of the input tensors that the voted RHS ranks do not already
 cover, as a multiset difference in argument order.  The rule only appends
 slots; it never changes or drops a voted one.  On ``blend.screen_rows``,
@@ -31,13 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..cfront.ast import FunctionDef
-from ..cfront.analysis import (
-    SignatureInfo,
-    analyze_signature,
-    predict_dimensions,
-    predict_output_rank,
-)
+from .kernel import Kernel
 from .templates import Template
 
 #: A dimension list, e.g. ``(1, 2, 1)`` for ``a(i) = b(i,j) * c(j)``.
@@ -96,9 +90,7 @@ def vote_dimension_list(templates: Sequence[Template]) -> DimensionList:
 
 
 def predict_dimension_list(
-    templates: Sequence[Template],
-    function: Optional[FunctionDef] = None,
-    signature: Optional[SignatureInfo] = None,
+    templates: Sequence[Template], kernel: Optional[Kernel] = None
 ) -> DimensionPredictionResult:
     """Predict the dimension list for a lifting task.
 
@@ -106,20 +98,17 @@ def predict_dimension_list(
     ----------
     templates:
         The templatized LLM candidates.
-    function:
-        The parsed C kernel; used to predict the LHS rank by static analysis
-        and to fill RHS slots the vote missed.  Without it the vote decides.
-    signature:
-        The kernel's analysed signature, when the caller already has it.
+    kernel:
+        The C kernel; its static ranks give the LHS rank and fill RHS slots
+        the vote missed.  Without it the vote decides.
     """
     voted = vote_dimension_list(templates)
     final: List[int] = list(voted)
     lhs_rank: Optional[int] = None
-    if function is not None:
-        signature = signature or analyze_signature(function)
-        lhs_rank = predict_output_rank(function, signature)
+    if kernel is not None:
+        lhs_rank = kernel.output_rank
         final[0] = lhs_rank
-        final.extend(_missing_input_ranks(function, signature, final[1:]))
+        final.extend(_missing_input_ranks(kernel, final[1:]))
     return DimensionPredictionResult(
         dimension_list=tuple(final),
         voted_list=voted,
@@ -128,18 +117,16 @@ def predict_dimension_list(
     )
 
 
-def _missing_input_ranks(
-    function: FunctionDef, signature: SignatureInfo, rhs: Sequence[int]
-) -> List[int]:
+def _missing_input_ranks(kernel: Kernel, rhs: Sequence[int]) -> List[int]:
     """Static ranks of the input tensors that the RHS ranks *rhs* miss.
 
     Empty unless *rhs* has fewer slots than the kernel has input tensor
     arguments; the static ranks are computed only then.
     """
-    tensors = signature.tensors()
+    tensors = kernel.signature.tensors()
     if len(rhs) >= len(tensors):
         return []
-    ranks = predict_dimensions(function).argument_ranks
+    ranks = kernel.dimensions.argument_ranks
     uncovered = Counter(rhs)
     missing: List[int] = []
     for name in tensors:

@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from ..cfront import CInterpreter, FunctionDef
-from ..cfront.analysis import ArgumentKind, OutputKind, SignatureInfo, analyze_signature
+from ..cfront.analysis import ArgumentKind, OutputKind, SignatureInfo
 from .poly import Divisor, Poly, Quotient
 from .task import LiftingTask
 
@@ -150,7 +150,12 @@ class SymbolicRun:
 
 
 class IOExampleGenerator:
-    """Generates I/O examples for a lifting task by running its C kernel."""
+    """Generates I/O examples for a lifting task by running its C kernel.
+
+    ``function``/``signature`` are the task's parsed kernel and its
+    signature; they default to the shared kernel's
+    (:func:`~repro.core.kernel.kernel_of`).
+    """
 
     def __init__(
         self,
@@ -160,9 +165,16 @@ class IOExampleGenerator:
         seed: int = 0,
         value_range: Tuple[int, int] = DEFAULT_VALUE_RANGE,
     ) -> None:
+        if function is None or signature is None:
+            # Imported here: the kernel cache builds its examples with this class.
+            from .kernel import kernel_of
+
+            kernel = kernel_of(task)
+            function = function if function is not None else kernel.function
+            signature = signature if signature is not None else kernel.signature
         self._task = task
-        self._function = function if function is not None else task.parse()
-        self._signature = signature if signature is not None else analyze_signature(self._function)
+        self._function = function
+        self._signature = signature
         self._rng = random.Random(seed)
         self._value_range = value_range
         self._interpreter = CInterpreter(mode="exact")

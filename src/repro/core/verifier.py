@@ -15,8 +15,10 @@ polynomial, or a quotient ``n/d`` of polynomials once it divides by an input
 (:mod:`repro.core.poly`).  :meth:`BoundedEquivalenceChecker.verify` first
 runs both sides once on polynomial variables at every uniform size from 1 to
 ``size_bound + 1``, one variable per free input element and per initial
-output-buffer element.  Two outputs are equal when ``n1*d2 - n2*d1`` is the
-zero polynomial.  A size at which the C kernel traps on every input is
+output-buffer element; the C kernel's runs come from the kernel cache
+(:meth:`~repro.core.kernel.Kernel.symbolic_run`), shared by every checker
+of the kernel in the process.  Two outputs are equal when
+``n1*d2 - n2*d1`` is the zero polynomial.  A size at which the C kernel traps on every input is
 outside the claim and skipped, except at ``size_bound`` itself.
 
 The claim covers only inputs on which the C kernel does not trap, and it
@@ -65,17 +67,16 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..cfront import FunctionDef
-from ..cfront.analysis import SignatureInfo, analyze_signature
 from ..cfront.errors import CRuntimeError
 from ..taco import TacoProgram
 from ..taco.errors import TacoError
-from ..taco.evaluator import TacoEvaluator
+from ..taco.evaluator import EvaluationContext, TacoEvaluator
 from .io_examples import IOExample, IOExampleGenerator, SymbolicRun
+from .kernel import kernel_of
 from .poly import Divisor, NotPolynomial, Poly, Quotient, is_zero, witness
 from .task import LiftingTask
 from .validator import _outputs_equal
@@ -142,24 +143,15 @@ class BoundedEquivalenceChecker:
     """Checks a lifted TACO program against the original C kernel."""
 
     def __init__(
-        self,
-        task: LiftingTask,
-        function: Optional[FunctionDef] = None,
-        signature: Optional[SignatureInfo] = None,
-        config: Optional[VerifierConfig] = None,
+        self, task: LiftingTask, config: Optional[VerifierConfig] = None
     ) -> None:
         self._task = task
-        self._function = function if function is not None else task.parse()
-        self._signature = (
-            signature if signature is not None else analyze_signature(self._function)
-        )
+        self._kernel = kernel_of(task)
         self._config = config if config is not None else VerifierConfig()
         self._evaluator = TacoEvaluator(mode="exact")
         self._generator = IOExampleGenerator(
-            task, self._function, self._signature, seed=1729
+            task, self._kernel.function, self._kernel.signature, seed=1729
         )
-        #: Symbolic C runs by uniform size (None: the kernel traps there).
-        self._runs: Dict[int, Optional[SymbolicRun]] = {}
         #: False once the C kernel is found to need an input's value.
         self._polynomial = True
 
@@ -199,6 +191,9 @@ class BoundedEquivalenceChecker:
 
         inputs = self._exhaustive_inputs(slots) if exhaustive else self._sampled_inputs(slots)
         checks = 0
+        # Every input of one check has the same shapes, so one context,
+        # rebound per input, computes the TACO layout once.
+        context = self._evaluator.context({})
         for row in inputs:
             try:
                 example = self._generator.generate_one(
@@ -210,7 +205,7 @@ class BoundedEquivalenceChecker:
                 # exactly as CBMC treats traps, so the input is skipped.
                 continue
             checks += 1
-            if not self._check_example(program, example):
+            if not self._check_example(program, example, context):
                 return VerificationResult(
                     equivalent=False,
                     checks_run=checks,
@@ -268,16 +263,13 @@ class BoundedEquivalenceChecker:
         return tuple(proved)
 
     def _symbolic_run(self, size: int) -> Optional[SymbolicRun]:
-        if size not in self._runs:
-            sizes = {name: size for name in self._task.spec.sizes}
-            try:
-                self._runs[size] = self._generator.run_symbolic(sizes)
-            except CRuntimeError:
-                self._runs[size] = None
-            except NotPolynomial:
-                self._polynomial = False
-                raise
-        return self._runs[size]
+        """The kernel's shared symbolic run at *size* (None: it traps there)."""
+        sizes = {name: size for name in self._task.spec.sizes}
+        try:
+            return self._kernel.symbolic_run(self._task, sizes)
+        except NotPolynomial:
+            self._polynomial = False
+            raise
 
     def _witness_example(self, refutation: _Refutation) -> IOExample:
         """The C kernel's run at an integer point that refutes.
@@ -324,14 +316,17 @@ class BoundedEquivalenceChecker:
     # ------------------------------------------------------------------ #
     # Checking
     # ------------------------------------------------------------------ #
-    def _check_example(self, program: TacoProgram, example: IOExample) -> bool:
+    def _check_example(
+        self, program: TacoProgram, example: IOExample, context: EvaluationContext
+    ) -> bool:
+        """Whether *program* reproduces *example*, evaluated in *context*."""
         try:
-            bindings = {
+            context.rebind({
                 name: example.inputs[name]
                 for name in {access.name for access in program.rhs.tensors()}
-            }
-            result = self._evaluator.evaluate(
-                program, bindings, output_shape=example.output_shape()
+            })
+            result = self._evaluator.evaluate_in_context(
+                context, program, output_shape=example.output_shape()
             )
         except (TacoError, KeyError, ZeroDivisionError):
             return False

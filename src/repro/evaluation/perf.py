@@ -33,10 +33,9 @@ import numpy as np
 
 from ..bench.gates import PORTFOLIO_GATE_RATIO as _PORTFOLIO_GATE_RATIO
 from ..bench.gates import RETRIEVAL_GATE_SPEEDUP as _RETRIEVAL_GATE_SPEEDUP
-from ..cfront.analysis import analyze_signature, harvest_constants
 from ..core.dimension_list import num_unique_indices, predict_dimension_list
 from ..core.grammar_gen import bottomup_template_grammar, topdown_template_grammar
-from ..core.io_examples import IOExampleGenerator
+from ..core.kernel import clear_kernels, kernel_of
 from ..core.pcfg_learn import learn_pcfg, operator_weights
 from ..core.penalties import PenaltyContext, PenaltyEvaluator
 from ..core.search import SearchLimits
@@ -157,12 +156,9 @@ class _PerfTask:
         benchmark = get_benchmark(name)
         self.name = name
         self.task = benchmark.task()
-        self.function = self.task.parse()
-        self.signature = analyze_signature(self.function)
-        self.constants = harvest_constants(self.function)
-        self.examples = IOExampleGenerator(
-            self.task, self.function, self.signature, seed=seed
-        ).generate(3)
+        kernel = kernel_of(self.task)
+        self.constants = kernel.constants
+        self.examples = kernel.examples(self.task, seed=seed, count=3)
         oracle = SyntheticOracle(OracleConfig())
         response = oracle.propose(
             LiftingQuery(
@@ -172,9 +168,7 @@ class _PerfTask:
             )
         )
         self.templates = templatize_all(response.candidates)
-        prediction = predict_dimension_list(
-            self.templates, self.function, signature=self.signature
-        )
+        prediction = predict_dimension_list(self.templates, kernel)
         self.dimension_list = prediction.dimension_list
         self.indices = num_unique_indices(self.templates)
 
@@ -390,6 +384,8 @@ def _measure_one_method(
             oracle_seed=PORTFOLIO_ORACLE_SEED,
             execution=execution,
         )
+        # Cold path: no kernel facts left behind by an earlier lift.
+        clear_kernels()
         started = time.perf_counter()
         report = lifter.lift(task)
         elapsed = time.perf_counter() - started
@@ -536,6 +532,8 @@ def _measure_probe_method(
             from ..retrieval.seeding import seeded_lifter
 
             lifter = seeded_lifter(lifter, cache_dir)
+        # Cold path: no kernel facts left behind by the seeder or the cold run.
+        clear_kernels()
         started = time.perf_counter()
         report = lifter.lift(task)
         elapsed = time.perf_counter() - started

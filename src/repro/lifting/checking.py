@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..cfront.analysis import analyze_signature, harvest_constants
-from ..core.io_examples import IOExample, IOExampleGenerator
+from ..core.io_examples import IOExample
+from ..core.kernel import kernel_of
 from ..core.validator import TemplateValidator, ValidationResult
 from ..core.verifier import (
     BoundedEquivalenceChecker,
@@ -60,30 +60,23 @@ def build_harness(
 ) -> TaskHarness:
     """Build the validator/verifier harness every lifting method shares.
 
-    ``function``/``signature`` may be supplied when the caller has already
-    parsed and analysed the kernel (the STAGG pipeline does, for dimension
-    prediction); otherwise they are derived here.
+    The kernel's parse, analyses, I/O examples and proof runs come from the
+    process-wide kernel cache (:func:`~repro.core.kernel.kernel_of`).
+    ``function``/``signature``, when given, are the task's parsed kernel and
+    signature as the caller already holds them (the STAGG pipeline does).
     """
-    if function is None:
-        function = task.parse()
-    if signature is None:
-        signature = analyze_signature(function)
-    constants = harvest_constants(function)
-    examples = IOExampleGenerator(task, function, signature, seed=seed).generate(
-        num_io_examples
-    )
-    validator = TemplateValidator(examples, constants)
+    kernel = kernel_of(task)
+    examples = kernel.examples(task, seed=seed, count=num_io_examples)
+    validator = TemplateValidator(examples, kernel.constants)
     verifier = BoundedEquivalenceChecker(
         task,
-        function,
-        signature,
         config=verifier_config if verifier_config is not None else VerifierConfig(),
     )
     return TaskHarness(
         task=task,
-        function=function,
-        signature=signature,
-        constants=constants,
+        function=function if function is not None else kernel.function,
+        signature=signature if signature is not None else kernel.signature,
+        constants=kernel.constants,
         examples=examples,
         validator=validator,
         verifier=verifier,

@@ -41,6 +41,7 @@ from ..core.grammar_gen import (
     full_template_grammar,
     topdown_template_grammar,
 )
+from ..core.kernel import kernel_of
 from ..core.pcfg_learn import learn_pcfg, operator_weights
 from ..core.penalties import PenaltyContext, PenaltyEvaluator
 from ..core.result import SynthesisReport
@@ -49,7 +50,6 @@ from ..core.search_bottomup import BottomUpSearch
 from ..core.search_topdown import TopDownSearch
 from ..core.task import LiftingTask
 from ..core.templates import Template, templatize_all
-from ..cfront.analysis import analyze_signature, harvest_constants
 from ..llm.oracle import LiftingQuery, LLMOracle, OracleResponse
 from .budget import Budget
 from .checking import build_check, build_harness
@@ -100,11 +100,11 @@ class PipelineState:
     seed_templates: Optional[List[Template]] = None
 
     def ensure_analysis(self) -> None:
-        """Parse and analyse the kernel once, on first demand."""
-        if self.function is None:
-            self.function = self.task.parse()
-        if self.signature is None:
-            self.signature = analyze_signature(self.function)
+        """Take the parsed kernel and its signature from the kernel cache."""
+        if self.function is None or self.signature is None:
+            kernel = kernel_of(self.task)
+            self.function = kernel.function
+            self.signature = kernel.signature
 
     def reset_derived(self) -> None:
         """Clear config-derived artifacts so a new config can re-search.
@@ -262,9 +262,7 @@ class DimensionStage(Stage):
 
     def run(self, pipeline, state, budget, observer) -> None:
         state.ensure_analysis()
-        prediction = predict_dimension_list(
-            state.templates, state.function, signature=state.signature
-        )
+        prediction = predict_dimension_list(state.templates, kernel_of(state.task))
         state.dimension_list = prediction.dimension_list
         state.voted_dimension_list = prediction.voted_list
         state.static_lhs_rank = prediction.static_lhs_rank
@@ -324,7 +322,6 @@ class GrammarStage(Stage):
         indices = state.num_indices or 0
         style = "topdown" if config.search == "topdown" else "bottomup"
         if config.grammar_mode == "refined":
-            state.ensure_analysis()
             build = (
                 topdown_template_grammar
                 if style == "topdown"
@@ -334,7 +331,7 @@ class GrammarStage(Stage):
                 dimension_list,
                 indices,
                 state.templates,
-                constants=harvest_constants(state.function),
+                constants=kernel_of(state.task).constants,
             )
             return grammar, style
         # Unrefined ("full") grammars for the FullGrammar / LLMGrammar ablations.

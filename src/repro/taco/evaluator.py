@@ -110,6 +110,10 @@ _LayoutKey = Tuple[AccessKey, Tuple[str, ...], Optional[Tuple[int, ...]]]
 #: iteration-space view, so evaluation is pure arithmetic).
 _Layout = Tuple[Tuple[str, ...], Dict[str, int], Dict[Tuple[str, Tuple[str, ...]], object]]
 
+#: The shape-only part of a layout: (index order, extents by variable, the
+#: broadcastable index grid per index variable).
+_Grids = Tuple[Tuple[str, ...], Dict[str, int], Dict[str, np.ndarray]]
+
 
 class EvaluationContext:
     """Reusable evaluation state for many programs over fixed bindings.
@@ -119,10 +123,14 @@ class EvaluationContext:
     array representation exactly once, and memoizes the extent inference and
     index-grid construction per distinct access pattern, so that evaluating
     thousands of structurally similar candidate programs costs one dictionary
-    lookup instead of a full re-preparation each time.
+    lookup instead of a full re-preparation each time.  :meth:`rebind` swaps
+    in bindings of the same shapes and keeps the extents and index grids,
+    which is how a bounded check computes its layout once for every input.
     """
 
-    __slots__ = ("_mode", "_raw", "_arrays", "_layouts", "layout_hits", "layout_misses")
+    __slots__ = (
+        "_mode", "_raw", "_arrays", "_layouts", "_grids", "layout_hits", "layout_misses"
+    )
 
     #: Safety valve against pathological candidate streams: a layout entry
     #: holds materialized iteration-space operand views, so the cache is
@@ -137,8 +145,19 @@ class EvaluationContext:
         self._raw: Dict[str, TensorValue] = dict(bindings)
         self._arrays: Dict[str, np.ndarray] = {}
         self._layouts: Dict[_LayoutKey, _Layout] = {}
+        self._grids: Dict[_LayoutKey, _Grids] = {}
         self.layout_hits = 0
         self.layout_misses = 0
+
+    def rebind(self, bindings: Mapping[str, TensorValue]) -> None:
+        """Swap in *bindings*, which have the shapes of the current ones.
+
+        Every layout keeps its extents and index grids; only the operands
+        are converted and gathered again, on first use.
+        """
+        self._raw = dict(bindings)
+        self._arrays = {}
+        self._layouts = {}
 
     @property
     def mode(self) -> str:
@@ -188,7 +207,13 @@ class EvaluationContext:
         if hit is not None:
             self.layout_hits += 1
             return hit
-        layout = self._compute_layout(access_key, program, output_shape)
+        grids = self._grids.get(key)
+        if grids is None:
+            grids = self._compute_grids(access_key, program, output_shape)
+            if len(self._grids) >= self.MAX_LAYOUTS:
+                self._grids.clear()
+            self._grids[key] = grids
+        layout = self._gather(access_key, grids)
         if len(self._layouts) >= self.MAX_LAYOUTS:
             self._layouts.clear()
         self._layouts[key] = layout
@@ -199,12 +224,12 @@ class EvaluationContext:
     # Layout computation (was TacoEvaluator._prepare_bindings /
     # _infer_extents / _index_grids in the per-candidate hot path)
     # ------------------------------------------------------------------ #
-    def _compute_layout(
+    def _compute_grids(
         self,
         access_key: AccessKey,
         program: TacoProgram,
         output_shape: Optional[Tuple[int, ...]],
-    ) -> _Layout:
+    ) -> _Grids:
         extents: Dict[str, int] = {}
         for name, indices in access_key:
             arr = self.array(name)
@@ -245,6 +270,10 @@ class EvaluationContext:
             shape = [1] * ndim
             shape[axis] = extents[index]
             grids[index] = np.arange(extents[index]).reshape(shape)
+        return index_order, extents, grids
+
+    def _gather(self, access_key: AccessKey, layout_grids: _Grids) -> _Layout:
+        index_order, extents, grids = layout_grids
         # Pre-gather every access into its broadcastable iteration-space view
         # once per layout, so per-candidate evaluation is pure arithmetic
         # (advanced indexing on object arrays copies element references and

@@ -11,6 +11,7 @@ from repro.core.dimension_list import (
     predict_dimension_list,
     vote_dimension_list,
 )
+from repro.core.kernel import Kernel
 from repro.core.templates import deduplicate, templatize, templatize_all
 from repro.taco import parse_program
 
@@ -108,7 +109,7 @@ class TestDimensionVote:
             " for (int i = 0; i < n; i++) { out[i] = 0;"
             "   for (int j = 0; j < m; j++) out[i] += A[i*m+j] * x[j]; } }"
         )
-        prediction = predict_dimension_list(templates, fn)
+        prediction = predict_dimension_list(templates, Kernel(fn))
         # The LLM candidates voted a scalar LHS but static analysis corrects it.
         assert prediction.voted_list[0] == 0
         assert prediction.dimension_list[0] == 1
@@ -124,7 +125,7 @@ class TestDimensionVote:
         # One voted RHS slot for two input tensors: the vote's rank-1 slot
         # covers x, so only A's static rank 2 is appended.
         templates = self._templates(["r(i) = v(j)", "r(i) = v(j)"])
-        prediction = predict_dimension_list(templates, parse_function(self._MATVEC))
+        prediction = predict_dimension_list(templates, Kernel(parse_function(self._MATVEC)))
         assert prediction.voted_list == (1, 1)
         assert prediction.dimension_list == (1, 1, 2)
 
@@ -132,7 +133,7 @@ class TestDimensionVote:
         # As many voted RHS slots as input tensors: the vote stands, even
         # where its ranks differ from the static ones.
         templates = self._templates(["r(i) = v(j) * w(j)", "r(i) = v(j) * w(j)"])
-        prediction = predict_dimension_list(templates, parse_function(self._MATVEC))
+        prediction = predict_dimension_list(templates, Kernel(parse_function(self._MATVEC)))
         assert prediction.dimension_list == prediction.voted_list == (1, 1, 1)
 
     def test_without_the_kernel_the_vote_stands(self):

@@ -44,6 +44,28 @@ class TestContextReuse:
         assert context.layout_misses == 1
         assert context.layout_hits == 3
 
+    def test_rebind_keeps_the_grids_and_reads_the_new_values(self, monkeypatch):
+        evaluator = TacoEvaluator(mode="exact")
+        program = parse_program("a(i) = b(i,j) * c(j) + s")
+        inputs = [
+            {"b": np.arange(6).reshape(2, 3) + k, "c": np.array([1, 2, 3]) * k, "s": k}
+            for k in range(3)
+        ]
+        expected = [evaluator.evaluate(program, b).tolist() for b in inputs]
+        computed = []
+        compute = EvaluationContext._compute_grids
+        monkeypatch.setattr(
+            EvaluationContext,
+            "_compute_grids",
+            lambda self, *args: computed.append(1) or compute(self, *args),
+        )
+        context = evaluator.context({})
+        for bindings, want in zip(inputs, expected):
+            context.rebind(bindings)
+            assert evaluator.evaluate_in_context(context, program).tolist() == want
+        assert len(computed) == 1
+        assert context.layout_misses == 3
+
     def test_mode_mismatch_rejected(self):
         context = EvaluationContext({"b": [1]}, mode="float")
         program = parse_program("a(i) = b(i)")
