@@ -140,6 +140,11 @@ class Kernel:
         return analyses
 
     @property
+    def loops(self):
+        """:func:`~repro.cfront.analysis.analyze_loops` of the kernel."""
+        return self._loops_and_pointers()[0]
+
+    @property
     def output_rank(self) -> int:
         """:func:`~repro.cfront.analysis.predict_output_rank` of the kernel."""
         if self._output_rank is None:

@@ -16,7 +16,7 @@ contribute the rules they *do* use and nothing else.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..grammars import (
     ContextFreeGrammar,
@@ -169,33 +169,46 @@ def count_bottomup_derivation(
 # ---------------------------------------------------------------------- #
 # Public API
 # ---------------------------------------------------------------------- #
+def count_rules(
+    grammar: ContextFreeGrammar, templates: Sequence[Template], style: str = "topdown"
+) -> Dict[Production, float]:
+    """How often each rule of *grammar* occurs in *templates*' derivations.
+
+    ``style`` selects how derivations are reconstructed: ``"topdown"`` for the
+    recursive grammars (refined or full), ``"bottomup"`` for the tail-form
+    grammars of Section 5.2.
+    """
+    count = count_bottomup_derivation if style == "bottomup" else count_topdown_derivation
+    index = _RuleIndex(grammar)
+    counter: Dict[Production, float] = {}
+    for template in templates:
+        count(template, index, counter)
+    return counter
+
+
+def weights_from_counts(
+    grammar: ContextFreeGrammar,
+    counts: Mapping[Production, float],
+    default_weight: float = DEFAULT_RULE_WEIGHT,
+) -> WeightedGrammar:
+    """Rule weights from :func:`count_rules` counts (Section 4.3)."""
+    weighted = WeightedGrammar(grammar.start, grammar.productions, default_weight=0.0)
+    for production in grammar.productions:
+        # Unused rules keep a small default so the search can still reach them.
+        weighted.set_weight(production, counts.get(production, 0.0) or default_weight)
+    return weighted
+
+
 def learn_weights(
     grammar: ContextFreeGrammar,
     templates: Sequence[Template],
     style: str = "topdown",
     default_weight: float = DEFAULT_RULE_WEIGHT,
 ) -> WeightedGrammar:
-    """Count rule usages of *templates* over *grammar* (Section 4.3).
-
-    ``style`` selects how derivations are reconstructed: ``"topdown"`` for the
-    recursive grammars (refined or full), ``"bottomup"`` for the tail-form
-    grammars of Section 5.2.
-    """
-    index = _RuleIndex(grammar)
-    counter: Dict[Production, float] = {}
-    for template in templates:
-        if style == "bottomup":
-            count_bottomup_derivation(template, index, counter)
-        else:
-            count_topdown_derivation(template, index, counter)
-    weighted = WeightedGrammar(grammar.start, grammar.productions, default_weight=0.0)
-    for production in grammar.productions:
-        weighted.set_weight(production, counter.get(production, 0.0))
-    # Unused rules keep a small default so the search can still reach them.
-    for production in grammar.productions:
-        if weighted.weight(production) == 0.0:
-            weighted.set_weight(production, default_weight)
-    return weighted
+    """Count rule usages of *templates* over *grammar* (Section 4.3)."""
+    return weights_from_counts(
+        grammar, count_rules(grammar, templates, style), default_weight
+    )
 
 
 def learn_pcfg(
@@ -216,6 +229,15 @@ def learn_pcfg(
     return ProbabilisticGrammar.from_weights(weighted)
 
 
+def operator_counts(counts: Mapping[Production, float]) -> Dict[str, float]:
+    """The operator-token totals among :func:`count_rules` counts."""
+    weights: Dict[str, float] = {}
+    for production, weight in counts.items():
+        if production.lhs == NT_OP and len(production.rhs) == 1:
+            weights[str(production.rhs[0])] = weights.get(str(production.rhs[0]), 0.0) + weight
+    return weights
+
+
 def operator_weights(
     grammar: ContextFreeGrammar, templates: Sequence[Template], style: str = "topdown"
 ) -> Dict[str, float]:
@@ -225,15 +247,4 @@ def operator_weights(
     the grammar" in the sense of criteria a5 / b2 (operators the LLM actually
     proposed, as opposed to operators only present with the default weight).
     """
-    index = _RuleIndex(grammar)
-    counter: Dict[Production, float] = {}
-    for template in templates:
-        if style == "bottomup":
-            count_bottomup_derivation(template, index, counter)
-        else:
-            count_topdown_derivation(template, index, counter)
-    weights: Dict[str, float] = {}
-    for production, weight in counter.items():
-        if production.lhs == NT_OP and len(production.rhs) == 1:
-            weights[str(production.rhs[0])] = weights.get(str(production.rhs[0]), 0.0) + weight
-    return weights
+    return operator_counts(count_rules(grammar, templates, style))

@@ -8,6 +8,19 @@ from typing import Dict, Optional, Tuple
 from ..taco import TacoProgram
 from ..taco.parser import parse_program
 from .jsonutil import jsonable
+from .kernel import _LRU
+
+#: Decoded programs kept per process (canonical TACO text -> program).
+MAX_DECODED_PROGRAMS = 1024
+
+# Programs are frozen, so every report decoded from equal text may share one.
+_DECODED = _LRU(MAX_DECODED_PROGRAMS)
+
+
+def _decode_program(text: Optional[str]) -> Optional[TacoProgram]:
+    if not text:
+        return None
+    return _DECODED.get(text, lambda: parse_program(text))
 
 
 @dataclass
@@ -91,14 +104,12 @@ class SynthesisReport:
     @classmethod
     def from_json_dict(cls, data: Dict[str, object]) -> "SynthesisReport":
         """Restore a report produced by :meth:`to_json_dict`."""
-        lifted = data.get("lifted_program")
-        template = data.get("template")
         return cls(
             task_name=str(data["task_name"]),
             method=str(data["method"]),
             success=bool(data["success"]),
-            lifted_program=parse_program(lifted) if lifted else None,
-            template=parse_program(template) if template else None,
+            lifted_program=_decode_program(data.get("lifted_program")),
+            template=_decode_program(data.get("template")),
             elapsed_seconds=float(data.get("elapsed_seconds", 0.0)),
             attempts=int(data.get("attempts", 0)),
             nodes_expanded=int(data.get("nodes_expanded", 0)),

@@ -31,7 +31,7 @@ import abc
 import pickle
 import time
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import StaggConfig
 from ..core.dimension_list import num_unique_indices, predict_dimension_list
@@ -42,7 +42,7 @@ from ..core.grammar_gen import (
     topdown_template_grammar,
 )
 from ..core.kernel import kernel_of
-from ..core.pcfg_learn import learn_pcfg, operator_weights
+from ..core.pcfg_learn import count_rules, operator_counts, weights_from_counts
 from ..core.penalties import PenaltyContext, PenaltyEvaluator
 from ..core.result import SynthesisReport
 from ..core.search import SearchOutcome
@@ -50,6 +50,7 @@ from ..core.search_bottomup import BottomUpSearch
 from ..core.search_topdown import TopDownSearch
 from ..core.task import LiftingTask
 from ..core.templates import Template, templatize_all
+from ..grammars import ProbabilisticGrammar
 from ..llm.oracle import LiftingQuery, LLMOracle, OracleResponse
 from .budget import Budget
 from .checking import build_check, build_harness
@@ -89,6 +90,8 @@ class PipelineState:
     grammar: Optional[object] = None
     grammar_style: Optional[str] = None
     pcfg: Optional[object] = None
+    #: Operator-token counts of the oracle's templates (criteria a5/b2).
+    operator_weights: Optional[Dict[str, float]] = None
     outcome: Optional[SearchOutcome] = None
 
     # Similarity-seeding artifacts (only set when the config arms
@@ -115,6 +118,7 @@ class PipelineState:
         self.grammar = None
         self.grammar_style = None
         self.pcfg = None
+        self.operator_weights = None
         self.outcome = None
         self.seed_info = None
         self.seed_templates = None
@@ -291,26 +295,23 @@ class GrammarStage(Stage):
         grammar, style = self._build_grammar(config, state)
         state.grammar = grammar
         state.grammar_style = style
+        # One counting pass over the oracle's templates feeds both the pCFG
+        # and the search stage's operator weights (criteria a5/b2).
+        counts = count_rules(grammar, state.templates, style)
+        state.operator_weights = operator_counts(counts)
+        if config.probability_mode == "equal":
+            state.pcfg = ProbabilisticGrammar.uniform(grammar)
+            return
         # Similarity seeding, part (b): after a tier-0 miss the seed stage
         # leaves the neighbors' winning templates on the state, and each is
         # counted ``RETRIEVAL_SEED_BOOST`` times alongside the oracle's
         # candidates — derivation counting is frequency-based, so
-        # repetition *is* the weight boost.  The grammar itself (and the
-        # penalty operators, which read ``state.templates``) stay purely
-        # oracle-derived.
-        templates = state.templates
+        # repetition *is* the weight boost.  The grammar itself and the
+        # operator weights stay purely oracle-derived.
         if state.seed_templates:
-            templates = list(templates) + [
-                template
-                for template in state.seed_templates
-                for _ in range(RETRIEVAL_SEED_BOOST)
-            ]
-        state.pcfg = learn_pcfg(
-            grammar,
-            templates,
-            style=style,
-            probability_mode=config.probability_mode,
-        )
+            for rule, count in count_rules(grammar, state.seed_templates, style).items():
+                counts[rule] = counts.get(rule, 0.0) + RETRIEVAL_SEED_BOOST * count
+        state.pcfg = ProbabilisticGrammar.from_weights(weights_from_counts(grammar, counts))
 
     def annotate(self, state, report) -> None:
         if state.grammar is not None:
@@ -377,9 +378,7 @@ class SearchStage(Stage):
         )
         check = build_check(harness, budget=budget, observer=observer)
 
-        weights = operator_weights(
-            state.grammar, state.templates, style=state.grammar_style
-        )
+        weights = state.operator_weights
         max_weight = max(weights.values(), default=0.0)
         # Operators "defined in the grammar" (criteria a5/b2): those whose
         # learned probability is not incidental noise.  An operator counts as

@@ -100,6 +100,9 @@ class MethodSpec:
 METHOD_KINDS = ("stagg", "baseline", "portfolio")
 
 _REGISTRY: Dict[str, MethodSpec] = {}
+#: Bumped by every registration, so a memo keyed on it (the service's request
+#: digests) never outlives a rebound name.
+_generation = 0
 
 
 def register_method(
@@ -117,9 +120,16 @@ def register_method(
         raise ValueError(
             f"method {name!r} is already registered; pass replace=True to override"
         )
+    global _generation
     spec = MethodSpec(name=name, factory=factory, kind=kind, description=description)
     _REGISTRY[name] = spec
+    _generation += 1
     return spec
+
+
+def registry_generation() -> int:
+    """How many registrations the registry has seen (it only grows)."""
+    return _generation
 
 
 def method_names(kind: Optional[str] = None) -> List[str]:

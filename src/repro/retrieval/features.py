@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..cfront import parse_function
 from ..cfront.analysis import analyze_signature
 from ..cfront.analysis.loops import analyze_loops
+from ..core.kernel import kernel_of
 
 #: Tokens per lexical shingle (trigrams: small enough to survive edits,
 #: large enough that shared shingles imply shared phrasing).
@@ -64,40 +65,44 @@ def lexical_shingles(source: str, k: int = SHINGLE_SIZE) -> Tuple[str, ...]:
     return tuple(sorted(hashed))
 
 
-def loop_shape(function) -> str:
+def loop_shape(nest) -> str:
     """The loop-nest depth profile, e.g. ``"1-2-2"`` (empty: no loops)."""
-    nest = analyze_loops(function)
     return "-".join(str(loop.depth) for loop in nest.loops)
 
 
-def signature_shape(function) -> str:
+def signature_shape(info) -> str:
     """Classified argument counts, e.g. ``"3t1z0s"`` (tensors/sizes/scalars)."""
-    info = analyze_signature(function)
-    return (
-        f"{len(info.tensors())}t{len(info.sizes())}z{len(info.scalars())}s"
-    )
+    return f"{len(info.tensors())}t{len(info.sizes())}z{len(info.scalars())}s"
 
 
-def source_features(
-    c_source: str, function_name: Optional[str] = None
-) -> Dict[str, object]:
-    """Lexical and structural features of one kernel's C source.
-
-    Unparseable sources degrade to lexical-only features rather than
-    raising: the index must absorb whatever the store holds.
-    """
+def _features(c_source: str, analyses: Callable[[], tuple]) -> Dict[str, object]:
+    """Lexical features of *c_source* plus the shapes of ``analyses()``, the
+    kernel's (loop nest, signature).  A source that does not parse keeps
+    only the lexical ones: the index must absorb whatever the store holds."""
     features: Dict[str, object] = {
         "shingles": list(lexical_shingles(c_source)),
         "loop_shape": "",
         "signature_shape": "",
     }
     try:
-        function = parse_function(c_source, function_name)
-        features["loop_shape"] = loop_shape(function)
-        features["signature_shape"] = signature_shape(function)
+        nest, info = analyses()
     except Exception:  # noqa: BLE001 - degrade, never fail indexing
-        pass
+        return features
+    features["loop_shape"] = loop_shape(nest)
+    features["signature_shape"] = signature_shape(info)
     return features
+
+
+def source_features(
+    c_source: str, function_name: Optional[str] = None
+) -> Dict[str, object]:
+    """Lexical and structural features of one kernel's C source."""
+
+    def analyses() -> tuple:
+        function = parse_function(c_source, function_name)
+        return analyze_loops(function), analyze_signature(function)
+
+    return _features(c_source, analyses)
 
 
 def dimension_signature(dimension_list) -> str:
@@ -166,5 +171,11 @@ def entry_row(entry) -> Dict[str, object]:
 
 
 def task_features(task) -> Dict[str, object]:
-    """Query-side features of a :class:`~repro.core.task.LiftingTask`."""
-    return source_features(task.c_source, task.function_name)
+    """Query-side features of a :class:`~repro.core.task.LiftingTask`: its
+    :func:`source_features`, parsed and analysed once per process."""
+
+    def analyses() -> tuple:
+        kernel = kernel_of(task)
+        return kernel.loops, kernel.signature
+
+    return _features(task.c_source, analyses)

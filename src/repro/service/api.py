@@ -22,14 +22,16 @@ from __future__ import annotations
 import functools
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..core.kernel import _LRU
 from ..core.result import SynthesisReport
 from ..core.task import InputSpec, LiftingTask
 from ..lifting import Budget, LiftObserver, Lifter, method_name_for, resolve_method
 from ..lifting.executor import ExecutionConfig
+from ..lifting.registry import registry_generation
 from ..llm import OracleConfig, StaticOracle, SyntheticOracle
 from ..suite import get_benchmark
 from . import faults
@@ -59,6 +61,9 @@ class ServiceOverloadedError(RuntimeError):
 
 #: Per-job wall-clock budget applied when a request does not carry one.
 DEFAULT_TIMEOUT_SECONDS = 60.0
+
+#: Request digests one service remembers (canonical payload -> digest).
+MAX_MEMOIZED_DIGESTS = 4096
 
 
 @dataclass(frozen=True)
@@ -108,15 +113,19 @@ class LiftRequest:
     # JSON payloads
     # ------------------------------------------------------------------ #
     def to_payload(self) -> Dict[str, object]:
-        payload = asdict(self)
+        payload: Dict[str, object] = {}
+        for name in _REQUEST_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                payload[name] = value
         payload["candidates"] = list(self.candidates)
-        payload["spec"] = dict(self.spec) if self.spec is not None else None
-        return {k: v for k, v in payload.items() if v is not None}
+        if self.spec is not None:
+            payload["spec"] = dict(self.spec)
+        return payload
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, object]) -> "LiftRequest":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - set(_REQUEST_FIELDS))
         if unknown:
             raise ServiceError(f"unknown request fields: {', '.join(unknown)}")
         data = dict(payload)
@@ -128,6 +137,9 @@ class LiftRequest:
             return cls(**data)
         except TypeError as error:
             raise ServiceError(f"malformed lift request: {error}") from None
+
+
+_REQUEST_FIELDS = tuple(f.name for f in fields(LiftRequest))
 
 
 def _spec_from_mapping(data: Mapping[str, object]) -> InputSpec:
@@ -340,6 +352,7 @@ class LiftingService:
             max(0, int(max_queue_depth)) if max_queue_depth is not None else None
         )
         self._started_at = time.time()
+        self._digests = _LRU(MAX_MEMOIZED_DIGESTS)
         # Imported here: `repro.bench` stays off the lifting stack's imports.
         from ..bench.runner import current_git_sha
 
@@ -437,7 +450,19 @@ class LiftingService:
         """
         if request.timeout is None:
             request = replace(request, timeout=self._default_timeout)
-        digest = request_digest(request)  # raises ServiceError on bad requests
+        try:
+            encoded: Optional[str] = _encode_request(request)
+        except (TypeError, ValueError):  # the journal keeps a marker instead
+            encoded = None
+        # Equal payloads under an unchanged method registry have equal
+        # digests, so only a new payload resolves its task and lifter.  A
+        # ServiceError escapes before anything is remembered.
+        if encoded is None:
+            digest = request_digest(request)
+        else:
+            digest = self._digests.get(
+                (registry_generation(), encoded), lambda: request_digest(request)
+            )
         if self._max_queue_depth is not None:
             depth = self._scheduler.queue_depth()
             if depth >= self._max_queue_depth and not self._would_attach(digest):
@@ -454,7 +479,8 @@ class LiftingService:
                 raise ServiceOverloadedError(depth, retry_after)
         self._submitted.inc()
         return self._scheduler.submit(
-            request, digest, priority=request.priority, timeout=request.timeout
+            request, digest, priority=request.priority, timeout=request.timeout,
+            encoded=encoded,
         )
 
     def _would_attach(self, digest: str) -> bool:

@@ -415,14 +415,18 @@ class JobScheduler:
         digest: str,
         priority: int = 0,
         timeout: Optional[float] = None,
+        encoded: Optional[str] = None,
     ) -> Job:
         """Schedule a lift; may return an existing (deduplicated) job.
 
         The returned job is immediately terminal when the digest was
         already answered in the result store.  With a journal attached the
         submission is journaled before it is queued, so it survives a
-        crash from this point on.
+        crash from this point on.  ``encoded`` is the payload as the codec
+        already encoded it, journaled as is.
         """
+        if encoded is None and self._journal is not None:
+            encoded = self._encode_json_payload(payload)
         with self._lock:
             if self._shutdown:
                 raise RuntimeError("scheduler is shut down")
@@ -444,10 +448,10 @@ class JobScheduler:
                     self._jobs[job.id] = job
                 if self._journal is not None:
                     self._journal.record_cached(
-                        job.id, digest, self._encode_json_payload(payload),
-                        priority=priority, timeout=timeout,
+                        job.id, digest, encoded, priority=priority, timeout=timeout,
                     )
-                self._finish(job, JobState.SUCCEEDED)
+                # The row was journaled terminal; there is nothing to move.
+                self._finish(job, JobState.SUCCEEDED, journaled=True)
                 return job
         # Cold work from here on: before queueing, ask the retrieval layer
         # whether similar solved kernels exist to seed this lift with.
@@ -468,7 +472,7 @@ class JobScheduler:
                 self._journal.insert(
                     job.id,
                     digest,
-                    self._encode_json_payload(payload),
+                    encoded,
                     priority=priority,
                     timeout=timeout,
                     max_attempts=self._max_attempts,
@@ -905,7 +909,7 @@ class JobScheduler:
             self._store_put_with_retry(job, report)
         self._finish(job, JobState.SUCCEEDED)
 
-    def _finish(self, job: Job, state: JobState) -> None:
+    def _finish(self, job: Job, state: JobState, journaled: bool = False) -> None:
         with self._lock:
             job.state = state
             # The stage field reports *live* progress; a terminal state is
@@ -933,7 +937,7 @@ class JobScheduler:
                     self._evicted_digests[evicted_id] = evicted_job.digest
             while len(self._evicted_digests) > EVICTED_DIGEST_RETENTION:
                 self._evicted_digests.popitem(last=False)
-        if self._journal is not None:
+        if self._journal is not None and not journaled:
             try:
                 self._journal.finish(
                     job.id, state.value, error=job.error, cached=job.cached

@@ -7,12 +7,17 @@ reused, config-derived artifacts are rebuilt).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import main
 from repro.core import StaggSynthesizer
+from repro.core.pcfg_learn import learn_pcfg, operator_weights
 from repro.core.synthesizer import synthesis_invocations
+from repro.core.templates import templatize
 from repro.lifting import (
+    GrammarStage,
     LiftEvent,
     PipelineState,
     PrintObserver,
@@ -22,8 +27,10 @@ from repro.lifting import (
     resolve_method,
 )
 from repro.cfront.analysis import harvest_constants
+from repro.lifting.pipeline import RETRIEVAL_SEED_BOOST
 from repro.llm import OracleConfig, StaticOracle, SyntheticOracle
 from repro.suite import all_benchmarks, get_benchmark
+from repro.taco import parse_program
 
 
 def _task(name: str = "darknet.copy_cpu"):
@@ -278,10 +285,32 @@ class TestResumeFromState:
         state.reset_derived()
         assert state.outcome is None
         assert state.pcfg is None
+        assert state.operator_weights is None
         assert state.grammar is None
         assert state.templates is templates
         assert state.oracle_response is not None
         assert state.dimension_list is not None
+
+    def test_seed_templates_weigh_into_the_pcfg_but_not_the_operators(self):
+        state = PipelineState(task=_task("mathfu.dot"))
+        lifter = _synthesizer()
+        lifter.lift_from_state(state)
+        seeds = [templatize(parse_program("a = b(i) * c(i) - d(i)"))]
+        state.reset_derived()
+        state.seed_templates = seeds
+        GrammarStage().run(SimpleNamespace(config=lifter.config), state, None, None)
+        grammar, style = state.grammar, state.grammar_style
+        assert state.operator_weights == operator_weights(grammar, state.templates, style)
+        # The seed's "-" counts into the pCFG, never into the operators.
+        assert "-" in operator_weights(grammar, seeds, style)
+        assert "-" not in state.operator_weights
+        boosted = learn_pcfg(
+            grammar, list(state.templates) + seeds * RETRIEVAL_SEED_BOOST, style
+        )
+        assert state.pcfg.probabilities() == boosted.probabilities()
+        assert boosted.probabilities() != learn_pcfg(
+            grammar, state.templates, style
+        ).probabilities()
 
 
 class TestLiftSemantics:

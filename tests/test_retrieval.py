@@ -250,6 +250,29 @@ class TestSeeding:
         retrieval = report.details["retrieval"]
         assert retrieval["neighbors"] == min(RETRIEVAL_K, len(SEED_KERNELS))
 
+    def test_second_seeded_lift_parses_nothing(self, populated, monkeypatch):
+        import repro.core.task
+        import repro.retrieval.features
+
+        cache_dir, _store, _index = populated
+        task = get_benchmark("darknet.dot_cpu").task()
+        lifter = seeded_lifter(
+            resolve_method("STAGG_BU", timeout_seconds=20.0), cache_dir
+        )
+        assert lifter.lift(task).details["retrieval"]["neighbors"] > 0
+        parsed = []
+        for module in (repro.core.task, repro.retrieval.features):
+            original = module.parse_function
+
+            def counted(*args, original=original, **kwargs):
+                parsed.append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "parse_function", counted)
+        report = lifter.lift(task)
+        assert report.details["retrieval"]["neighbors"] > 0
+        assert parsed == []
+
     def test_progress_interval_validation(self):
         with pytest.raises(ValueError, match="progress_interval"):
             SearchLimits(progress_interval=0)

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
+from dataclasses import replace
 
 import pytest
+from test_digest_parity import EXTRA_METHODS as PARITY_EXTRA_METHODS
+from test_digest_parity import KERNELS as PARITY_KERNELS
 
+from repro.core.result import SynthesisReport
 from repro.core.synthesizer import synthesis_invocations
 from repro.evaluation import EvaluationRunner, save_json, standard_methods
-from repro.lifting import Budget, ExecutionConfig
+from repro.lifting import Budget, ExecutionConfig, method_names, method_spec, register_method
+from repro.lifting.registry import _REGISTRY  # white-box: registration table
 from repro.lifting.observer import CompositeObserver, LiftObserver
 from repro.llm import OracleConfig, SyntheticOracle
 from repro.obs import load_trace
@@ -17,7 +22,9 @@ from repro.obs import trace as obs_trace
 from repro.obs.report import build_forest
 from repro.service import LiftRequest, LiftingService, ServiceError, resolve_task
 from repro.service import api
+from repro.service.digest import lift_digest
 from repro.service.scheduler import JobState
+from repro.taco import parser as taco_parser
 from repro.suite import all_benchmarks
 
 
@@ -143,6 +150,106 @@ class TestLiftingService:
         with LiftingService(cache_dir=tmp_path, workers=1) as service:
             assert service.status("job-999999-deadbeef") is None
             assert service.result("job-999999-deadbeef") is None
+
+
+# ---------------------------------------------------------------------- #
+# Store replays: one digest per payload, programs decoded once
+# ---------------------------------------------------------------------- #
+def _unlifted(request, **_kwargs):
+    """An executor that answers without lifting (digests are all we test)."""
+    return SynthesisReport(
+        task_name=request.benchmark or "kernel", method="stub", success=False
+    )
+
+
+@pytest.fixture
+def digest_only_service(monkeypatch):
+    # The service binds ``api.execute_request`` when it is constructed.
+    monkeypatch.setattr(api, "execute_request", _unlifted)
+    with LiftingService(workers=1) as service:
+        yield service
+
+
+def _uncached_digest(request):
+    return lift_digest(resolve_task(request), api.build_lifter(request).descriptor())
+
+
+def _counting(monkeypatch, target, name):
+    calls = []
+    original = getattr(target, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, counted)
+    return calls
+
+
+class TestReplayMemo:
+    def test_memoized_digests_equal_uncached_digests(self, digest_only_service):
+        for method in (*method_names(), *PARITY_EXTRA_METHODS):
+            for kernel in PARITY_KERNELS:
+                request = LiftRequest(benchmark=kernel, method=method, timeout=30.0)
+                first = digest_only_service.submit(request)
+                second = digest_only_service.submit(request)  # from the memo
+                expected = _uncached_digest(request)
+                assert first.digest == second.digest == expected, (kernel, method)
+
+    def test_memo_hit_resolves_no_method(self, digest_only_service, monkeypatch):
+        request = LiftRequest(benchmark="darknet.copy_cpu", timeout=30.0)
+        digest_only_service.submit(request).wait(10)
+        resolved = _counting(monkeypatch, api, "resolve_method")
+        digest_only_service.submit(request).wait(10)
+        assert resolved == []
+
+    def test_rebinding_a_method_changes_the_next_digest(self, digest_only_service):
+        name = "Test.Rebound"
+        register_method(name, method_spec("STAGG_TD").factory)
+        try:
+            request = LiftRequest(benchmark="darknet.copy_cpu", method=name, timeout=30.0)
+            before = digest_only_service.submit(request).digest
+            register_method(name, method_spec("STAGG_BU").factory, replace=True)
+            after = digest_only_service.submit(request).digest
+        finally:
+            _REGISTRY.pop(name, None)
+        assert before != after
+        assert after == lift_digest(
+            resolve_task(request),
+            api.build_lifter(replace(request, method="STAGG_BU")).descriptor(),
+        )
+
+    def test_a_refused_request_is_never_memoized(self, digest_only_service, monkeypatch):
+        digested = _counting(monkeypatch, api, "request_digest")
+        refused = LiftRequest(benchmark="nope.nope", timeout=30.0)
+        for _ in range(2):
+            with pytest.raises(ServiceError):
+                digest_only_service.submit(refused)
+        assert len(digested) == 2
+        good = LiftRequest(benchmark="darknet.copy_cpu", timeout=30.0)
+        for _ in range(2):
+            digest_only_service.submit(good).wait(10)
+        assert len(digested) == 3
+
+    def test_second_replay_resolves_and_lexes_nothing(self, tmp_path, monkeypatch):
+        request = LiftRequest(benchmark="darknet.copy_cpu", timeout=30.0)
+        with LiftingService(
+            cache_dir=tmp_path / "store", journal=tmp_path / "journal.sqlite",
+            workers=1,
+        ) as service:
+            cold = service.submit(request)
+            assert cold.wait(60) and cold.report.success
+            first = service.submit(request)
+            assert first.cached
+            resolved = _counting(monkeypatch, api, "resolve_method")
+            lexed = _counting(monkeypatch, taco_parser, "tokenize")
+            second = service.submit(request)
+            assert second.cached
+            assert resolved == [] and lexed == []
+            # The store is still read, and counted, on every replay.
+            assert service.stats()["store"]["hits"] == 2
+        assert second.report == first.report
+        assert second.report.to_json_dict() == cold.report.to_json_dict()
 
 
 # ---------------------------------------------------------------------- #
